@@ -1,21 +1,23 @@
-// P3 — delta-driven Γ scheduling on the kilorule workload: the same
-// fixpoint computed with the dependency scheduler on vs off, with an
+// P3 — delta-driven Γ scheduling on the kilorule workload: the scheduled
+// delta-filtered and semi-naive evaluators against naive Γ (the paper's
+// literal algorithm, which matches every rule at every step), with an
 // in-bench bit-identity check (every scheduled run must reproduce the
-// unscheduled database and step counts exactly, or the bench aborts).
-// Emits BENCH_scheduler.json with per-config times, the on/off speedup,
-// and the scheduler counters (rules_considered / rules_skipped / strata /
+// naive database and step count exactly, or the bench aborts). Emits
+// BENCH_scheduler.json with per-config times, the speedup over naive, and
+// the scheduler counters (rules_considered / rules_skipped / strata /
 // pipeline_stages) that explain it: a kilorule step affects a handful of
-// rules, so the unscheduled evaluator's per-step all-rules affectedness
-// scan dominates and the watcher index removes it (docs/SCHEDULER.md).
+// rules, and the watcher index reaches them without looking at the rest
+// (docs/SCHEDULER.md).
 //
 //   bench_scheduler [--smoke] [output.json]  (default: BENCH_scheduler.json)
 //
-// --smoke shrinks the program and skips the speedup gate so CI can
-// exercise the full path (including the JSON schema) in a second; the
-// timings of a smoke run are meaningless and the JSON says so.
+// --smoke shrinks the program and skips the gates so CI can exercise the
+// full path (including the JSON schema) in a second; the timings of a
+// smoke run are meaningless and the JSON says so.
 //
-// Non-smoke runs gate on kilorule delta_filtered@1: scheduler-on must be
-// >= 3x faster than scheduler-off, or the bench exits non-zero.
+// Non-smoke runs gate on kilorule delta_filtered@1: it must be >= 3x
+// faster than naive Γ, and must consider <= 1% of the (rules × Γ calls)
+// slots naive Γ examines, or the bench exits non-zero.
 
 #include <cstdio>
 #include <cstring>
@@ -35,25 +37,35 @@ namespace {
 struct ConfigResult {
   const char* gamma_mode = "delta_filtered";
   int threads = 1;
-  double off_ms = 0;
-  double on_ms = 0;
-  double speedup = 1.0;  // off / on
+  double naive_ms = 0;
+  double scheduled_ms = 0;
+  double speedup = 1.0;  // naive / scheduled
   size_t gamma_steps = 0;
   // Scheduler counters of the scheduled run.
   size_t rules_considered = 0;
   size_t rules_skipped = 0;
   size_t strata = 0;
   size_t pipeline_stages = 0;
-  // The same counter from the unscheduled run, for contrast.
-  size_t off_rules_considered = 0;
+  // The same counter from the naive run: rules × Γ calls.
+  size_t naive_rules_considered = 0;
+  double considered_ratio = 0;  // rules_considered / naive_rules_considered
+};
+
+/// The naive baseline at one thread count: best time plus the result the
+/// scheduled runs must reproduce.
+struct NaiveBaseline {
+  int threads = 1;
+  double ms = -1;
+  std::string database;
+  size_t gamma_steps = 0;
+  size_t rules_considered = 0;
 };
 
 ParkResult RunOnce(const Workload& w, GammaMode mode, int threads,
-                   SchedulerMode scheduler, double* elapsed_ms) {
+                   double* elapsed_ms) {
   ParkOptions options;
   options.gamma_mode = mode;
   options.num_threads = threads;
-  options.scheduler_mode = scheduler;
   auto start = std::chrono::steady_clock::now();
   auto result = Park(w.program, w.database, options);
   auto end = std::chrono::steady_clock::now();
@@ -63,55 +75,65 @@ ParkResult RunOnce(const Workload& w, GammaMode mode, int threads,
   return std::move(*result);
 }
 
-ConfigResult RunConfig(const Workload& w, const char* mode_name,
-                       GammaMode mode, int threads, int repetitions) {
+NaiveBaseline RunNaive(const Workload& w, int threads, int repetitions) {
+  NaiveBaseline naive;
+  naive.threads = threads;
+  for (int rep = 0; rep < repetitions; ++rep) {
+    double ms = 0;
+    ParkResult run = RunOnce(w, GammaMode::kNaive, threads, &ms);
+    if (naive.ms < 0 || ms < naive.ms) naive.ms = ms;
+    if (rep == 0) {
+      naive.database = run.database.ToString();
+      naive.gamma_steps = run.stats.gamma_steps;
+      naive.rules_considered = run.stats.sched_rules_considered;
+    }
+  }
+  return naive;
+}
+
+ConfigResult RunConfig(const Workload& w, const NaiveBaseline& naive,
+                       const char* mode_name, GammaMode mode,
+                       int repetitions) {
   ConfigResult config;
   config.gamma_mode = mode_name;
-  config.threads = threads;
-  double best_off = -1;
-  double best_on = -1;
-  std::string off_db;
-  size_t off_steps = 0;
-  // All unscheduled reps first, then all scheduled reps: interleaving the
-  // two leaves each timed run with the other's allocator/cache wake, which
-  // measurably inflates the scheduled times. ToString checks stay outside
-  // the timed region either way (RunOnce times Park() only).
+  config.threads = naive.threads;
+  double best = -1;
+  // All naive reps ran first (RunNaive), then all scheduled reps:
+  // interleaving the two leaves each timed run with the other's
+  // allocator/cache wake. ToString checks stay outside the timed region
+  // (RunOnce times Park() only).
   for (int rep = 0; rep < repetitions; ++rep) {
     double ms = 0;
-    ParkResult off = RunOnce(w, mode, threads, SchedulerMode::kOff, &ms);
-    if (best_off < 0 || ms < best_off) best_off = ms;
-    if (rep == 0) {
-      off_db = off.database.ToString();
-      off_steps = off.stats.gamma_steps;
-    }
-    config.off_rules_considered = off.stats.sched_rules_considered;
-  }
-  for (int rep = 0; rep < repetitions; ++rep) {
-    double ms = 0;
-    ParkResult on =
-        RunOnce(w, mode, threads, SchedulerMode::kDependency, &ms);
-    if (best_on < 0 || ms < best_on) best_on = ms;
+    ParkResult run = RunOnce(w, mode, naive.threads, &ms);
+    if (best < 0 || ms < best) best = ms;
     // The whole point: scheduling must be bit-identical, every run.
-    PARK_CHECK(on.database.ToString() == off_db)
-        << mode_name << "@" << threads
-        << ": scheduled database differs from the unscheduled result";
-    PARK_CHECK(on.stats.gamma_steps == off_steps)
-        << mode_name << "@" << threads
+    PARK_CHECK(run.database.ToString() == naive.database)
+        << mode_name << "@" << naive.threads
+        << ": scheduled database differs from the naive result";
+    PARK_CHECK(run.stats.gamma_steps == naive.gamma_steps)
+        << mode_name << "@" << naive.threads
         << ": scheduled run took a different number of steps";
-    config.gamma_steps = on.stats.gamma_steps;
-    config.rules_considered = on.stats.sched_rules_considered;
-    config.rules_skipped = on.stats.sched_rules_skipped;
-    config.strata = on.stats.sched_strata;
-    config.pipeline_stages = on.stats.sched_pipeline_stages;
+    config.gamma_steps = run.stats.gamma_steps;
+    config.rules_considered = run.stats.sched_rules_considered;
+    config.rules_skipped = run.stats.sched_rules_skipped;
+    config.strata = run.stats.sched_strata;
+    config.pipeline_stages = run.stats.sched_pipeline_stages;
   }
-  config.off_ms = best_off;
-  config.on_ms = best_on;
-  config.speedup = best_on > 0 ? best_off / best_on : 1.0;
+  config.naive_ms = naive.ms;
+  config.scheduled_ms = best;
+  config.speedup = best > 0 ? naive.ms / best : 1.0;
+  config.naive_rules_considered = naive.rules_considered;
+  config.considered_ratio =
+      naive.rules_considered > 0
+          ? static_cast<double>(config.rules_considered) /
+                static_cast<double>(naive.rules_considered)
+          : 0.0;
   std::printf(
-      "  %-16s threads=%d  off %8.2f ms  on %8.2f ms  speedup %.2fx  "
-      "(considered %zu vs %zu, %zu strata)\n",
-      mode_name, threads, best_off, best_on, config.speedup,
-      config.rules_considered, config.off_rules_considered, config.strata);
+      "  %-16s threads=%d  naive %8.2f ms  scheduled %8.2f ms  speedup "
+      "%.2fx  (considered %zu of %zu = %.4f%%, %zu strata)\n",
+      mode_name, naive.threads, naive.ms, best, config.speedup,
+      config.rules_considered, config.naive_rules_considered,
+      100.0 * config.considered_ratio, config.strata);
   return config;
 }
 
@@ -121,8 +143,9 @@ std::string ToJson(const std::string& case_name, size_t rules,
   JsonWriter w = bench::BeginBenchJson("park-bench-scheduler-v1");
   w.Key("smoke").Bool(smoke);
   w.Key("bit_identical").Bool(true);
-  // kilorule delta_filtered@1 >= 3x gate: "passed", or "skipped" in
-  // smoke mode (tiny program, timings meaningless).
+  // kilorule delta_filtered@1 gates (>= 3x over naive, <= 1% of naive's
+  // rules considered): "passed", or "skipped" in smoke mode (tiny
+  // program, timings meaningless).
   w.Key("gate").String(gate);
   w.Key("cases").BeginArray();
   w.BeginObject();
@@ -133,15 +156,16 @@ std::string ToJson(const std::string& case_name, size_t rules,
     w.BeginObject();
     w.Key("gamma_mode").String(c.gamma_mode);
     w.Key("threads").Int(c.threads);
-    w.Key("scheduler_off_ms").Double(c.off_ms);
-    w.Key("scheduler_on_ms").Double(c.on_ms);
+    w.Key("naive_ms").Double(c.naive_ms);
+    w.Key("scheduled_ms").Double(c.scheduled_ms);
     w.Key("speedup").Double(c.speedup);
     w.Key("gamma_steps").UInt(c.gamma_steps);
     w.Key("rules_considered").UInt(c.rules_considered);
     w.Key("rules_skipped").UInt(c.rules_skipped);
     w.Key("strata").UInt(c.strata);
     w.Key("pipeline_stages").UInt(c.pipeline_stages);
-    w.Key("off_rules_considered").UInt(c.off_rules_considered);
+    w.Key("naive_rules_considered").UInt(c.naive_rules_considered);
+    w.Key("considered_ratio").Double(c.considered_ratio);
     w.EndObject();
   }
   w.EndArray();
@@ -163,11 +187,11 @@ int Main(int argc, char** argv) {
   }
 
   // The kilorule shape: >= 1000 rules, ~`levels` Γ steps each affecting
-  // `chains` rules — per-step rule selection is the whole cost. The
-  // unscheduled scan term grows with steps * rules (quadratic in
-  // `levels`) while evaluation and one-time plan compilation grow
-  // linearly, so deep-and-thin maximizes the contrast. Smoke mode
-  // shrinks the program an order of magnitude.
+  // `chains` rules — per-step rule selection is the whole cost. Naive Γ
+  // matches every rule every step, so its cost grows with steps * rules
+  // (quadratic in `levels`) while scheduled evaluation grows linearly:
+  // deep-and-thin maximizes the contrast. Smoke mode shrinks the program
+  // an order of magnitude.
   const int chains = smoke ? 4 : 8;
   const int levels = smoke ? 32 : 768;
   const int facts = 1;
@@ -178,21 +202,21 @@ int Main(int argc, char** argv) {
               smoke ? " [smoke mode: timings meaningless]" : "");
 
   std::vector<ConfigResult> configs;
-  configs.push_back(RunConfig(w, "delta_filtered", GammaMode::kDeltaFiltered,
-                              /*threads=*/1, repetitions));
-  configs.push_back(RunConfig(w, "semi_naive", GammaMode::kSemiNaive,
-                              /*threads=*/1, repetitions));
-  if (smoke) {
-    // Smoke always includes a pooled config: it drives the staged
-    // parallel dispatch (one pool section per stratum group) regardless
-    // of host width, which is what the CI TSan run is after.
-    configs.push_back(RunConfig(w, "delta_filtered",
-                                GammaMode::kDeltaFiltered,
-                                /*threads=*/2, repetitions));
-  } else if (std::thread::hardware_concurrency() >= 4) {
-    configs.push_back(RunConfig(w, "delta_filtered",
-                                GammaMode::kDeltaFiltered,
-                                /*threads=*/4, repetitions));
+  const NaiveBaseline naive1 = RunNaive(w, /*threads=*/1, repetitions);
+  configs.push_back(RunConfig(w, naive1, "delta_filtered",
+                              GammaMode::kDeltaFiltered, repetitions));
+  configs.push_back(RunConfig(w, naive1, "semi_naive", GammaMode::kSemiNaive,
+                              repetitions));
+  // Smoke always includes a pooled config: it drives the staged parallel
+  // dispatch (one pool section per stratum group) regardless of host
+  // width, which is what the CI TSan run is after.
+  const int pooled = smoke ? 2
+                     : std::thread::hardware_concurrency() >= 4 ? 4
+                                                                 : 0;
+  if (pooled > 0) {
+    const NaiveBaseline naive_pooled = RunNaive(w, pooled, repetitions);
+    configs.push_back(RunConfig(w, naive_pooled, "delta_filtered",
+                                GammaMode::kDeltaFiltered, repetitions));
   }
 
   const char* gate = "skipped";
@@ -200,9 +224,20 @@ int Main(int argc, char** argv) {
     const ConfigResult& headline = configs[0];  // delta_filtered@1
     if (headline.speedup < 3.0) {
       std::fprintf(stderr,
-                   "REGRESSION: kilorule delta_filtered@1 scheduler "
-                   "speedup %.2fx (want >= 3x)\n",
+                   "REGRESSION: kilorule delta_filtered@1 speedup over "
+                   "naive Γ %.2fx (want >= 3x)\n",
                    headline.speedup);
+      return 1;
+    }
+    // Deterministic companion of the timing gate: the watcher index must
+    // keep the rules examined per Γ call to a sliver of the program.
+    if (headline.considered_ratio > 0.01) {
+      std::fprintf(stderr,
+                   "REGRESSION: kilorule delta_filtered@1 considered %zu "
+                   "of %zu rule slots (%.4f%%, want <= 1%%)\n",
+                   headline.rules_considered,
+                   headline.naive_rules_considered,
+                   100.0 * headline.considered_ratio);
       return 1;
     }
     gate = "passed";

@@ -29,12 +29,6 @@
 //                      batches over the relations' sorted segments with
 //                      merge joins where the planner chose them; results
 //                      are bit-identical to tuple mode
-//   --scheduler NAME   on (default) | off — the rule dependency
-//                      scheduler (docs/SCHEDULER.md): on, each Γ step
-//                      selects rules via the predicate watcher index
-//                      and quick-exits steps whose delta nobody
-//                      watches; off, every step scans the whole
-//                      program. Results are bit-identical either way
 //   --maintenance NAME on | off (default) — incremental fixpoint
 //                      maintenance across commits (docs/INCREMENTAL.md):
 //                      on, an ActiveDatabase keeps its materialized PARK
@@ -274,8 +268,8 @@ int Usage(const char* argv0) {
                "          [--policy NAME] [--block-first] [--max-steps N]\n"
                "          [--deadline-ms N] [--threads N]\n"
                "          [--min-slice-size N] [--planner cost|heuristic]\n"
-               "          [--exec-mode tuple|batch] [--scheduler on|off]\n"
-               "          [--maintenance on|off] [--stats-json FILE]\n"
+               "          [--exec-mode tuple|batch] [--maintenance on|off]\n"
+               "          [--stats-json FILE]\n"
                "          [--max-memory-bytes N] [--max-derivations N]\n"
                "          [--observe] [--trace] [--explain]\n"
                "       %s --serve-demo\n"
@@ -437,18 +431,6 @@ int main(int argc, char** argv) {
       } else {
         std::fprintf(stderr,
                      "--exec-mode wants 'tuple' or 'batch', got '%s'\n", v);
-        return 2;
-      }
-    } else if (arg == "--scheduler") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      if (std::strcmp(v, "on") == 0) {
-        options.scheduler_mode = park::SchedulerMode::kDependency;
-      } else if (std::strcmp(v, "off") == 0) {
-        options.scheduler_mode = park::SchedulerMode::kOff;
-      } else {
-        std::fprintf(stderr,
-                     "--scheduler wants 'on' or 'off', got '%s'\n", v);
         return 2;
       }
     } else if (arg == "--maintenance") {

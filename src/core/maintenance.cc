@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <memory>
 
-#include "util/metrics.h"
+#include "core/stepper.h"
 #include "util/thread_pool.h"
 
 namespace park {
@@ -66,8 +66,8 @@ bool FixpointMaintainer::EnsureBound(const Program& program,
   if (threads > 1) {
     if (parallel_ == nullptr || bound_threads_ != threads ||
         bound_slice_ != options.min_slice_size) {
-      parallel_ = std::make_unique<ParallelGamma>(program, threads,
-                                                  options.min_slice_size);
+      parallel_ =
+          std::make_unique<ParallelGamma>(threads, options.min_slice_size);
       bound_threads_ = threads;
       bound_slice_ = options.min_slice_size;
     }
@@ -128,79 +128,21 @@ std::optional<MaintenanceOutcome> FixpointMaintainer::TryCommit(
     }
   }
 
-  const bool timed = options.collect_timings;
-  const int64_t run_start_ns = timed ? MonotonicNanos() : 0;
-  const bool scheduled = options.scheduler_mode == SchedulerMode::kDependency;
-  const RuleDependencyGraph* graph = scheduled ? &*graph_ : nullptr;
-  ParallelGamma* parallel = parallel_.get();
-  ExecStats exec_stats;
-  const uint64_t plans_compiled_before = plans_->plans_compiled();
-  const uint64_t cache_hits_before = plans_->cache_hits();
-  const uint64_t replans_before = plans_->replans();
-  const uint64_t est_rows_before = plans_->estimated_rows();
-  const uint64_t act_rows_before = plans_->actual_rows();
-  const uint64_t sections_before =
-      parallel != nullptr ? parallel->pool().sections_run() : 0;
-  const uint64_t tasks_before =
-      parallel != nullptr ? parallel->pool().tasks_executed() : 0;
-  const uint64_t sliced_before =
-      parallel != nullptr ? parallel->sliced_units() : 0;
-  const uint64_t slices_before =
-      parallel != nullptr ? parallel->slice_tasks() : 0;
-
-  // Seed the closure: U's marks, exactly what the body-less seed rules of
-  // P_U would produce in the full run's first step.
-  IInterpretation interp(&db);
-  DeltaAtoms delta;
-  delta.initial = false;
-  const RuleGrounding seed;  // rule_index -1: "seeded by the transaction"
-  ParkStats stats;
-  for (const Update& u : updates) {
-    if (interp.AddMarked(u.action, u.atom, seed)) {
-      (u.action == ActionKind::kInsert ? delta.plus : delta.minus)
-          .push_back(u.atom);
-      ++stats.derived_marks;
-    }
-  }
-
-  // Semi-naive closure over the stable base. Rules untouched by the
-  // delta never re-fire — INV says their heads are already stored.
-  const BlockedSet no_blocked;
-  size_t steps = 0;
-  uint64_t gamma_ns = 0;
-  uint64_t apply_ns = 0;
-  while (true) {
-    if (steps >= options.max_steps) return std::nullopt;
-    const int64_t gamma_start_ns = timed ? MonotonicNanos() : 0;
-    GammaResult gamma = ComputeGammaSemiNaive(
-        program, no_blocked, interp, delta, parallel, &*plans_,
-        /*cancel=*/nullptr, options.exec_mode, &exec_stats, graph);
-    if (timed) {
-      gamma_ns += static_cast<uint64_t>(MonotonicNanos() - gamma_start_ns);
-    }
-    stats.rule_evaluations += gamma.rules_evaluated;
-    stats.sched_rules_considered += gamma.rules_considered;
-    stats.sched_rules_skipped += gamma.rules_skipped;
-    stats.sched_pipeline_stages += gamma.pipeline_stages;
-    // A clash inside the cone means this commit has real conflicts; the
-    // full evaluator owns conflict construction and SELECT policies.
-    if (!gamma.consistent) return std::nullopt;
-    if (gamma.newly_marked == 0) break;
-    const int64_t apply_start_ns = timed ? MonotonicNanos() : 0;
-    const size_t added =
-        ApplyDerivationsTrackedAtoms(gamma.derivations, interp, delta);
-    if (timed) {
-      apply_ns += static_cast<uint64_t>(MonotonicNanos() - apply_start_ns);
-    }
-    stats.derived_marks += added;
-    stats.maint_atoms_rederived += added;
-    ++stats.gamma_steps;
-    ++steps;
-  }
+  // The seeded closure over the stable base: U's marks first, then
+  // semi-naive Γ to the fixpoint. Rules untouched by the delta never
+  // re-fire — INV says their heads are already stored. A clash inside the
+  // cone means this commit has real conflicts, and past max_steps the
+  // commit is out of budget: both belong to the full evaluator, which
+  // owns conflict construction and SELECT policies.
+  ParkStepper closure(
+      program, db, options,
+      ParkStepper::WarmState{*plans_, *graph_, parallel_.get()}, updates);
+  if (!closure.RunToFixpoint().ok()) return std::nullopt;
 
   // The commit's diff, read straight off the marks in O(|marks|): the
   // result instance is (D ∪ plus) \ minus with plus ∩ minus = ∅.
   MaintenanceOutcome outcome;
+  const IInterpretation& interp = closure.interpretation();
   interp.plus().ForEach([&](const GroundAtom& atom) {
     if (!db.Contains(atom)) outcome.inserted.push_back(atom);
   });
@@ -212,49 +154,14 @@ std::optional<MaintenanceOutcome> FixpointMaintainer::TryCommit(
   std::sort(outcome.inserted.begin(), outcome.inserted.end());
   std::sort(outcome.deleted.begin(), outcome.deleted.end());
 
-  stats.num_threads = static_cast<size_t>(
-      parallel != nullptr ? parallel->num_threads() : 1);
-  stats.planner_mode = options.planner_mode;
-  stats.scheduler_mode = options.scheduler_mode;
-  stats.exec_mode = options.exec_mode;
-  if (scheduled) stats.sched_strata = graph_->num_strata();
-  stats.plans_compiled = plans_->plans_compiled() - plans_compiled_before;
-  stats.plan_cache_hits = plans_->cache_hits() - cache_hits_before;
-  stats.plan_replans = plans_->replans() - replans_before;
-  stats.planner_estimated_rows = plans_->estimated_rows() - est_rows_before;
-  stats.planner_actual_rows = plans_->actual_rows() - act_rows_before;
-  if (parallel != nullptr) {
-    stats.parallel_sections =
-        parallel->pool().sections_run() - sections_before;
-    stats.parallel_tasks = parallel->pool().tasks_executed() - tasks_before;
-    stats.parallel_sliced_units = parallel->sliced_units() - sliced_before;
-    stats.parallel_slices = parallel->slice_tasks() - slices_before;
-    stats.parallel_max_queue_depth = parallel->pool().max_section_tasks();
-  }
-  {
-    Database::ColumnarFootprint fp = interp.base().ColumnarStats();
-    const Database::ColumnarFootprint plus_fp = interp.plus().ColumnarStats();
-    const Database::ColumnarFootprint minus_fp =
-        interp.minus().ColumnarStats();
-    fp.segments += plus_fp.segments + minus_fp.segments;
-    fp.segment_rows += plus_fp.segment_rows + minus_fp.segment_rows;
-    fp.compactions += plus_fp.compactions + minus_fp.compactions;
-    fp.dict_entries += plus_fp.dict_entries + minus_fp.dict_entries;
-    stats.storage_segments = static_cast<size_t>(fp.segments);
-    stats.storage_segment_rows = static_cast<size_t>(fp.segment_rows);
-    stats.storage_compactions = static_cast<size_t>(fp.compactions);
-    stats.storage_dict_entries = static_cast<size_t>(fp.dict_entries);
-  }
-  stats.exec_batch_rows =
-      exec_stats.batch_rows.load(std::memory_order_relaxed);
-  stats.exec_probe_rows =
-      exec_stats.probe_rows.load(std::memory_order_relaxed);
-  stats.exec_merge_rows =
-      exec_stats.merge_rows.load(std::memory_order_relaxed);
-
+  outcome.stats = closure.stats();
+  ParkStats& stats = outcome.stats;
   stats.maintenance_mode = MaintenanceMode::kIncremental;
   stats.maint_commits = 1;
   stats.maint_atoms_overdeleted = outcome.deleted.size();
+  // Every distinct update became one seed mark; the rest were re-derived.
+  stats.maint_atoms_rederived =
+      stats.derived_marks - plus_seen.size() - minus_seen.size();
   {
     std::vector<PredicateId> plus_preds;
     std::vector<PredicateId> minus_preds;
@@ -266,14 +173,6 @@ std::optional<MaintenanceOutcome> FixpointMaintainer::TryCommit(
     }
     stats.maint_cone_rules = graph_->ConeRules(plus_preds, minus_preds).size();
   }
-  stats.timings.collected = timed;
-  if (timed) {
-    stats.timings.gamma_ns = gamma_ns;
-    stats.timings.apply_ns = apply_ns;
-    stats.timings.total_ns =
-        static_cast<uint64_t>(MonotonicNanos() - run_start_ns);
-  }
-  outcome.stats = std::move(stats);
   // The applied commit preserves INV (docs/INCREMENTAL.md): the closure
   // ended at a fixpoint, so the new instance is rule-stable too. stable_
   // simply stays true; the caller's journal-failure rollback restores the

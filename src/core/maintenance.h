@@ -10,11 +10,11 @@
 // nothing — the invariant INV, established by any conflict-free full
 // commit), a new commit's effect is exactly the semi-naive closure seeded
 // from U over the stored instance. The maintainer tracks INV, checks the
-// eligibility gates, runs that seeded closure with the warm caches it
-// keeps across commits (dependency graph, plan cache, thread pool), and
-// hands back the commit's diff — bit-identical to the from-scratch
-// PARK(D, P, U) (proved in docs/INCREMENTAL.md, swept by
-// incremental_oracle_test) at cost proportional to |U| and its cone
+// eligibility gates, runs that seeded closure — a ParkStepper seeded from
+// U — on the warm caches it keeps across commits (dependency graph, plan
+// cache, thread pool), and hands back the commit's diff — bit-identical
+// to the from-scratch PARK(D, P, U) (proved in docs/INCREMENTAL.md, swept
+// by incremental_oracle_test) at cost proportional to |U| and its cone
 // instead of |D|.
 //
 // Anything outside the proof obligations falls back to the full

@@ -60,24 +60,6 @@ enum class GammaMode {
   kSemiNaive,
 };
 
-/// Whether Γ steps are driven through the program's rule/predicate
-/// dependency graph (docs/SCHEDULER.md). Like the planner and exec modes
-/// this is a pure performance knob: the scheduled evaluation produces
-/// bit-identical results for any fixed configuration (asserted in
-/// scheduler_oracle_test), so kDependency is the default.
-enum class SchedulerMode {
-  /// Legacy per-step behavior: delta-filtered Γ scans every rule for
-  /// affectedness, semi-naive crosses every rule's body with the delta.
-  kOff,
-  /// Build a RuleDependencyGraph once per evaluation and use its watcher
-  /// index to reach the affected rules in O(|changed predicates|), quick-
-  /// exit steps whose delta wakes no rule, and (delta-filtered, parallel)
-  /// dispatch the affected rules stratum by stratum with per-stage plan
-  /// prewarm. Naive Γ mode matches everything by definition and ignores
-  /// the scheduler.
-  kDependency,
-};
-
 /// Whether ActiveDatabase commits maintain the materialized PARK
 /// fixpoint incrementally across commits (docs/INCREMENTAL.md). With
 /// kIncremental, a commit whose program and update set pass the
@@ -159,8 +141,7 @@ struct ParkOptions {
   /// boundaries. Results are bit-identical to tuple mode for a fixed
   /// configuration and across thread counts — the batch executor emits
   /// candidates in the same binding-major order the tuple path would
-  /// (asserted in planner_oracle_test). Only consulted on the compiled-
-  /// plan path; the legacy per-call matcher always runs tuple-at-a-time.
+  /// (asserted in planner_oracle_test).
   ExecMode exec_mode = ExecMode::kTuple;
   /// How rule bodies are ordered for matching (see docs/PLANNER.md).
   /// kCostBased (default) compiles each rule — and each Δ-seeded variant —
@@ -172,11 +153,6 @@ struct ParkOptions {
   /// (and fixed other options) results are bit-identical across runs and
   /// thread counts.
   PlannerMode planner_mode = PlannerMode::kCostBased;
-  /// Delta-driven Γ scheduling over the rule dependency graph (see
-  /// SchedulerMode above and docs/SCHEDULER.md). Never affects results,
-  /// only how fast sparse deltas find their rules; `parkcli --scheduler
-  /// on|off` exposes it and bench_scheduler quantifies it.
-  SchedulerMode scheduler_mode = SchedulerMode::kDependency;
   /// Incremental fixpoint maintenance across commits (see MaintenanceMode
   /// above and docs/INCREMENTAL.md). Default off until a deployment has
   /// been oracle-swept; `parkcli --maintenance on|off` exposes it and
@@ -259,17 +235,16 @@ struct ParkStats {
   /// of actually enumerated stream rows — the cost model's calibration.
   size_t planner_estimated_rows = 0;
   size_t planner_actual_rows = 0;
-  // Scheduler counters (see ParkOptions::scheduler_mode and
-  // docs/SCHEDULER.md), summed over every Γ call of the run. Thread- and
-  // schedule-partition-invariant: the affected set and its stage
-  // structure are properties of the delta, never of the pool.
-  // `sched_rules_considered` counts rules examined for affectedness
-  // (program size per scan-mode step, watcher hits per scheduled step,
+  // Scheduler counters (docs/SCHEDULER.md), summed over every Γ call of
+  // the run. Thread- and schedule-partition-invariant: the affected set
+  // and its stage structure are properties of the delta, never of the
+  // pool. `sched_rules_considered` counts rules examined for affectedness
+  // (program size per naive Γ call, watcher hits per delta-driven call,
   // 0 on quick-exited steps); `sched_rules_skipped` counts rules not
   // matched; `sched_strata` is the static stratum count of the program's
-  // dependency graph (0 with the scheduler off); `sched_pipeline_stages`
-  // sums the per-step stratum groups among scheduled rules.
-  SchedulerMode scheduler_mode = SchedulerMode::kDependency;
+  // dependency graph (0 under naive Γ, which builds none);
+  // `sched_pipeline_stages` sums the per-step stratum groups among
+  // scheduled rules.
   size_t sched_rules_considered = 0;
   size_t sched_rules_skipped = 0;
   size_t sched_strata = 0;

@@ -1,10 +1,15 @@
-// ParkStepper: the Δ transition operator exposed one step at a time.
+// ParkStepper: the Δ transition operator exposed one step at a time, and
+// the engine's only Δ loop.
 //
-// The batch evaluator (Park()) runs ω_P to completion; the stepper lets a
-// debugger, visualizer, or interactive tool drive the same computation
-// transition by transition and inspect the live bi-structure ⟨B, I⟩
-// between steps. Finishing a stepper yields exactly PARK(P, D) (asserted
-// against the batch evaluator in stepper_test.cc).
+// Park() is this stepper run to its fixpoint, followed by rendering the
+// trace, the blocked set and provenance; a debugger, visualizer, or
+// interactive tool drives the same computation transition by transition
+// and inspects the live bi-structure ⟨B, I⟩ between steps. The stepper
+// records the trace at options.trace_level, numbered exactly as Park()
+// reports it, so finishing a stepper yields PARK(P, D) together with its
+// stats and trace (asserted in stepper_test.cc). Incremental maintenance
+// runs the seeded variant: Δ from ⟨∅, D⟩ with U's marks already applied,
+// on the maintainer's warm caches (docs/INCREMENTAL.md).
 
 #ifndef PARK_CORE_STEPPER_H_
 #define PARK_CORE_STEPPER_H_
@@ -30,6 +35,7 @@ struct StepOutcome {
   /// kGamma: number of newly marked atoms.
   size_t new_marks = 0;
   /// kResolution: rendered descriptions of the conflicts just resolved.
+  /// Filled by Step() only; RunToFixpoint() discards outcomes unrendered.
   std::vector<std::string> conflicts;
   /// kResolution: number of rule instances newly blocked.
   size_t newly_blocked = 0;
@@ -39,73 +45,134 @@ struct StepOutcome {
 /// database must outlive the stepper; neither is modified.
 class ParkStepper {
  public:
-  /// `options.trace_level` is ignored (the live state IS the trace);
-  /// policy / granularity / gamma_mode behave as in Park().
+  /// Policy, granularity, gamma_mode, trace_level, governance and
+  /// observers behave exactly as in Park().
   ParkStepper(const Program& program, const Database& db,
               ParkOptions options = {});
+
+  /// Evaluation state a seeded stepper borrows instead of building its
+  /// own; everything must outlive the stepper. `parallel` may be null
+  /// (sequential Γ).
+  struct WarmState {
+    PlanCache& plans;
+    const RuleDependencyGraph& graph;
+    ParallelGamma* parallel = nullptr;
+  };
+
+  /// The seeded closure of incremental maintenance (docs/INCREMENTAL.md):
+  /// Δ from ⟨∅, D⟩ with every update of `seed` already marked (by the
+  /// body-less grounding, rule index -1), as the first step of
+  /// PARK(D, P, U) would mark it. Γ is semi-naive whatever
+  /// options.gamma_mode says. An inconsistent Γ ends the run with
+  /// kFailedPrecondition — nothing applied, SELECT never called — because
+  /// the caller then re-runs the commit on the full evaluator, whose
+  /// policies must not have seen the discarded attempt. The borrowed
+  /// cache's and pool's counters are reported as this run's share; plan
+  /// compilations of the borrowed cache fire no OnPlanCompiled hook.
+  ParkStepper(const Program& program, const Database& db,
+              ParkOptions options, const WarmState& warm,
+              const std::vector<Update>& seed);
 
   ParkStepper(const ParkStepper&) = delete;
   ParkStepper& operator=(const ParkStepper&) = delete;
 
   /// Applies one Δ transition. Calling Step() after the fixpoint is
-  /// reached keeps returning kFixpoint outcomes. Errors are the same as
-  /// Park()'s (policy abstention, no progress, max_steps).
+  /// reached keeps returning kFixpoint outcomes. Errors are Park()'s
+  /// (policy abstention, no progress, max_steps, governance).
   Result<StepOutcome> Step();
+
+  /// Steps to the fixpoint without rendering the outcomes.
+  Status RunToFixpoint();
+
+  /// RunToFixpoint, then incorporates: the result database equals
+  /// Park(program, db, options).database.
+  Result<Database> Finish();
 
   bool done() const { return done_; }
 
   /// The live i-interpretation I.
   const IInterpretation& interpretation() const { return interp_; }
 
+  /// The live blocked set B.
+  const BlockedSet& blocked() const { return blocked_; }
+
   /// The live bi-structure ⟨B, I⟩, order-comparable (Theorem 4.1).
   BiStructureSnapshot Snapshot() const {
     return SnapshotBiStructure(blocked_, interp_, program_);
   }
 
-  const ParkStats& stats() const { return stats_; }
+  /// The run's counters. Per-step counters accumulate as the run goes;
+  /// the rest (planner, pool, storage, resource, blocked set) are folded
+  /// in when the fixpoint lands or, mid-run, on each call.
+  const ParkStats& stats() const;
 
-  /// Runs remaining steps to the fixpoint and incorporates: the result
-  /// database equals Park(program, db, options).database.
-  Result<Database> Finish();
+  /// Moves the trace recorded so far out of the stepper.
+  Trace TakeTrace() { return std::move(trace_); }
 
  private:
-  /// Folds the parallel pool's counters and clocks into stats_.
-  void RefreshParallelStats();
-  /// Folds the plan cache's counters into stats_.
-  void RefreshPlannerStats();
-  /// Folds the run token's budget counters into stats_.
-  void RefreshResourceStats();
-  /// Folds the columnar footprint and batch-executor rows into stats_.
-  void RefreshStorageStats();
+  /// Cumulative counters of the plan cache and the pool. A seeded stepper
+  /// borrows both, so the stats report the difference from construction.
+  struct SharedCounters {
+    uint64_t plans_compiled = 0;
+    uint64_t cache_hits = 0;
+    uint64_t replans = 0;
+    uint64_t estimated_rows = 0;
+    uint64_t actual_rows = 0;
+    uint64_t sections = 0;
+    uint64_t tasks = 0;
+    uint64_t sliced_units = 0;
+    uint64_t slices = 0;
+    uint64_t match_ns = 0;
+    uint64_t merge_ns = 0;
+    uint64_t busy_ns = 0;
+  };
+
+  ParkStepper(const Program& program, const Database& db,
+              ParkOptions options, const WarmState* warm,
+              const std::vector<Update>* seed);
+
+  /// One Δ transition; `render_conflicts` fills StepOutcome::conflicts.
+  Result<StepOutcome> Advance(bool render_conflicts);
+  /// The resolution half of a transition whose Γ was inconsistent.
+  Result<StepOutcome> Resolve(GammaResult gamma, int step,
+                              bool render_conflicts);
+  /// One Γ section in `mode`, with timing, governance and counters.
+  Result<GammaResult> EvaluateGamma(GammaMode mode, int step);
+  SharedCounters ReadSharedCounters() const;
+  /// Folds the planner, pool, resource and storage counters into stats_.
+  void FoldStats() const;
 
   const Program& program_;
   const Database& db_;
   ParkOptions options_;
   PolicyPtr policy_;
-  /// Engaged iff options_.num_threads resolves to > 1.
-  std::optional<ParallelGamma> parallel_;
-  /// Delta-driven Γ scheduling (see ParkOptions::scheduler_mode and
-  /// docs/SCHEDULER.md). Engaged iff the scheduler is on and the Γ mode
-  /// can use it (naive matches everything by definition).
-  std::optional<RuleDependencyGraph> graph_;
-  /// Compiled rule plans shared by every Γ section of this evaluation
-  /// (see ParkOptions::planner_mode); its counters fold into stats_.
-  PlanCache plans_;
   IInterpretation interp_;
   BlockedSet blocked_;
   DeltaState delta_;
   DeltaAtoms delta_atoms_;
-  ParkStats stats_;
-  /// Batch-executor row counters (see ParkOptions::exec_mode); folded
-  /// into stats_ after every Γ section. All zero on tuple-mode runs.
-  ExecStats exec_stats_;
+  Trace trace_;
   /// Exception-isolating view of options_.observer (see core/observer.h);
   /// OnRunStart fires at construction, OnRunEnd when the fixpoint lands.
   ObserverHook observer_;
-  size_t steps_taken_ = 0;
   /// Construction time, against which options_.deadline_ms is checked
-  /// (the budget covers the whole stepped evaluation, like Park()'s).
+  /// (the budget covers the whole stepped evaluation).
   std::chrono::steady_clock::time_point start_time_;
+  /// Set by the seeded constructor: no conflict resolution.
+  bool seeded_ = false;
+  /// The evaluation's own plan cache, dependency graph (non-naive Γ) and
+  /// pool (num_threads > 1); a seeded stepper borrows all three instead.
+  std::optional<PlanCache> own_plans_;
+  std::optional<RuleDependencyGraph> own_graph_;
+  std::optional<ParallelGamma> own_parallel_;
+  PlanCache* plans_ = nullptr;
+  const RuleDependencyGraph* graph_ = nullptr;
+  ParallelGamma* parallel_ = nullptr;
+  SharedCounters baseline_;
+  mutable ParkStats stats_;
+  /// Batch-executor row counters (see ParkOptions::exec_mode). All zero
+  /// on tuple-mode runs.
+  ExecStats exec_stats_;
+  size_t steps_taken_ = 0;
   /// Run governance (deadline / external cancel / memory / derivation
   /// budgets), shared by every thread of every Γ section. cancel_ is null
   /// when no governance is configured — workers then skip polling.

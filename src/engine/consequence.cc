@@ -42,22 +42,18 @@ void AnalyzeDerivations(const IInterpretation& interp, GammaResult& result) {
   result.consistent = result.clashing_atoms.empty();
 }
 
-/// Appends every firable, non-blocked grounding of `rule` (restricted to
-/// first-literal candidates in `slice`; full slice = whole rule) to `out`.
-/// With `plan` the cached compiled plan executes (and the number of
-/// claimed step-0 candidates is returned — the planner's actual-rows
-/// counter); without, the legacy per-call heuristic path runs.
-size_t MatchRule(const Rule& rule, const BlockedSet& blocked,
-                 const IInterpretation& interp, const CompiledPlan* plan,
-                 std::vector<Derivation>& out,
-                 CandidateSlice slice = CandidateSlice{},
-                 CancellationToken* cancel = nullptr,
-                 ExecMode exec = ExecMode::kTuple,
-                 ExecStats* exec_stats = nullptr) {
-  // Governance: each derivation is charged to the token's work budget and
-  // the output buffer's capacity to its memory budget (UpdateScope is a
-  // no-op branch while the capacity is unchanged). A fired token stops
-  // emission — the partial buffer is discarded by the evaluator.
+/// Runs `execute(emit)` — one plan execution over some candidate slice —
+/// and appends every non-blocked grounding of `rule` it emits to `out`.
+/// Returns what `execute` returns: the step-0 candidates the execution
+/// claimed (the planner's actual-rows counter). Governance: each
+/// derivation is charged to the token's work budget and the output
+/// buffer's capacity to its memory budget (UpdateScope is a no-op branch
+/// while the capacity is unchanged). A fired token stops emission — the
+/// partial buffer is discarded by the evaluator.
+template <typename Execute>
+size_t CollectDerivations(const Rule& rule, const BlockedSet& blocked,
+                          std::vector<Derivation>& out,
+                          CancellationToken* cancel, Execute execute) {
   CancellationToken::MemoryScope mem_scope;
   auto emit = [&](const Tuple& binding) {
     if (cancel != nullptr && cancel->fired()) return;
@@ -71,17 +67,24 @@ size_t MatchRule(const Rule& rule, const BlockedSet& blocked,
       cancel->UpdateScope(mem_scope, out.capacity() * sizeof(Derivation));
     }
   };
-  size_t claimed = 0;
-  if (plan != nullptr) {
-    claimed = ExecutePlan(*plan, rule, interp, slice, emit, cancel, exec,
-                          exec_stats);
-  } else {
-    // The legacy per-call heuristic path has no compiled plan to execute
-    // in batch mode; it always runs the tuple executor.
-    ForEachBodyMatch(rule, interp, slice, emit, cancel);
-  }
+  const size_t claimed = execute(FunctionRef<void(const Tuple&)>(emit));
   if (cancel != nullptr) cancel->CloseScope(mem_scope);
   return claimed;
+}
+
+/// Appends every firable, non-blocked grounding of `rule` (restricted to
+/// first-literal candidates in `slice`; full slice = whole rule) to `out`
+/// by executing its cached `plan`.
+size_t MatchRule(const Rule& rule, const BlockedSet& blocked,
+                 const IInterpretation& interp, const CompiledPlan& plan,
+                 std::vector<Derivation>& out, CandidateSlice slice,
+                 CancellationToken* cancel, ExecMode exec,
+                 ExecStats* exec_stats) {
+  return CollectDerivations(
+      rule, blocked, out, cancel, [&](FunctionRef<void(const Tuple&)> emit) {
+        return ExecutePlan(plan, rule, interp, slice, emit, cancel, exec,
+                           exec_stats);
+      });
 }
 
 // --- Intra-rule slicing policy ---
@@ -177,20 +180,18 @@ void PrewarmDatabase(const Database& db,
 }
 
 /// RAII guard for a parallel read-only matching section: builds every
-/// index the program's plans can probe, then freezes I's three databases
-/// so a missed prewarm fails loudly instead of racing on a lazy build.
-/// With `prewarm_indexes` false (batch execution through compiled plans —
-/// which probes columnar segments, never hash indexes) the index build is
-/// skipped; the coordinator has already compacted the columnar views at
-/// the Γ-section boundary, so the freeze still guarantees workers find
-/// every relation compact.
+/// index the cached plans can probe, then freezes I's three databases so
+/// a missed prewarm fails loudly instead of racing on a lazy build. In
+/// batch mode (which probes columnar segments, never hash indexes) the
+/// index build is skipped; the coordinator has already compacted the
+/// columnar views at the Γ-section boundary, so the freeze still
+/// guarantees workers find every relation compact.
 class FrozenInterpretation {
  public:
   FrozenInterpretation(const IInterpretation& interp,
-                       const IndexRequirements& requirements,
-                       bool prewarm_indexes = true)
+                       const IndexRequirements& requirements, ExecMode exec)
       : interp_(interp) {
-    if (prewarm_indexes) {
+    if (exec == ExecMode::kTuple) {
       PrewarmDatabase(interp_.base(), requirements.base);
       PrewarmDatabase(interp_.plus(), requirements.plus);
       PrewarmDatabase(interp_.minus(), requirements.minus);
@@ -221,11 +222,10 @@ class FrozenInterpretation {
 void MatchRulesParallel(const std::vector<const Rule*>& rules,
                         const BlockedSet& blocked,
                         const IInterpretation& interp,
-                        ParallelGamma& parallel, PlanCache* plans,
+                        ParallelGamma& parallel, PlanCache& plans,
                         std::vector<Derivation>& out,
-                        CancellationToken* cancel = nullptr,
-                        ExecMode exec = ExecMode::kTuple,
-                        ExecStats* exec_stats = nullptr) {
+                        CancellationToken* cancel, ExecMode exec,
+                        ExecStats* exec_stats) {
   struct RuleSliceTask {
     size_t begin;  // [begin, end) of `rules`; sliced tasks cover one unit
     size_t end;
@@ -235,21 +235,16 @@ void MatchRulesParallel(const std::vector<const Rule*>& rules,
   // grow the cache's index requirements, which the prewarm below must
   // already include.
   std::vector<const CompiledPlan*> rule_plans(rules.size(), nullptr);
-  if (plans != nullptr) {
-    for (size_t i = 0; i < rules.size(); ++i) {
-      rule_plans[i] = &plans->Get(*rules[i], /*seed_index=*/-1, interp);
-      plans->AddEstimatedRows(rule_plans[i]->estimated_candidates);
-    }
+  for (size_t i = 0; i < rules.size(); ++i) {
+    rule_plans[i] = &plans.Get(*rules[i], /*seed_index=*/-1, interp);
+    plans.AddEstimatedRows(rule_plans[i]->estimated_candidates);
   }
   std::vector<RuleSliceTask> tasks;
   tasks.reserve(rules.size());
   std::vector<std::vector<Derivation>> buffers;
   std::vector<size_t> claimed;
   {
-    FrozenInterpretation frozen(
-        interp,
-        plans != nullptr ? plans->requirements() : parallel.requirements(),
-        /*prewarm_indexes=*/exec == ExecMode::kTuple || plans == nullptr);
+    FrozenInterpretation frozen(interp, plans.requirements(), exec);
     const int threads = parallel.num_threads();
     const size_t min_slice = parallel.min_slice_size();
     if (ShouldConsiderSlicing(rules.size(), threads)) {
@@ -261,13 +256,9 @@ void MatchRulesParallel(const std::vector<const Rule*>& rules,
         // — for many tiny units the counting pass itself was the
         // dominant parallel overhead.
         size_t candidates = 0;
-        if (plans != nullptr) {
-          if (rule_plans[i]->estimated_candidates >=
-              2.0 * static_cast<double>(min_slice)) {
-            candidates = CountPlanCandidates(*rule_plans[i], interp, exec);
-          }
-        } else {
-          candidates = CountFirstLiteralCandidates(*rules[i], interp);
+        if (rule_plans[i]->estimated_candidates >=
+            2.0 * static_cast<double>(min_slice)) {
+          candidates = CountPlanCandidates(*rule_plans[i], interp, exec);
         }
         size_t num_slices = NumSlicesFor(candidates, min_slice, threads);
         if (num_slices > 1) {
@@ -280,11 +271,7 @@ void MatchRulesParallel(const std::vector<const Rule*>& rules,
     } else {
       AppendChunkTasks(
           rules.size(), threads,
-          [&](size_t i) {
-            return plans != nullptr
-                       ? 1.0 + rule_plans[i]->estimated_candidates
-                       : 1.0;
-          },
+          [&](size_t i) { return 1.0 + rule_plans[i]->estimated_candidates; },
           tasks);
     }
     buffers.resize(tasks.size());
@@ -298,7 +285,7 @@ void MatchRulesParallel(const std::vector<const Rule*>& rules,
       size_t task_claimed = 0;
       for (size_t u = tasks[i].begin; u < tasks[i].end; ++u) {
         task_claimed +=
-            MatchRule(*rules[u], blocked, interp, rule_plans[u], buffers[i],
+            MatchRule(*rules[u], blocked, interp, *rule_plans[u], buffers[i],
                       tasks[i].slice, cancel, exec, exec_stats);
       }
       claimed[i] = task_claimed;
@@ -308,13 +295,11 @@ void MatchRulesParallel(const std::vector<const Rule*>& rules,
           static_cast<uint64_t>(MonotonicNanos() - match_start));
     }
   }
-  if (plans != nullptr) {
-    // Slices of a unit claim disjoint ordinal ranges, so this sum is the
-    // full per-unit stream count — independent of the slicing partition.
-    size_t total_claimed = 0;
-    for (size_t c : claimed) total_claimed += c;
-    plans->AddActualRows(total_claimed);
-  }
+  // Slices of a unit claim disjoint ordinal ranges, so this sum is the
+  // full per-unit stream count — independent of the slicing partition.
+  size_t total_claimed = 0;
+  for (size_t c : claimed) total_claimed += c;
+  plans.AddActualRows(total_claimed);
   const int64_t merge_start =
       parallel.timing_enabled() ? MonotonicNanos() : 0;
   size_t total = 0;
@@ -329,13 +314,33 @@ void MatchRulesParallel(const std::vector<const Rule*>& rules,
   }
 }
 
+/// Matches `rules` in order, on the pool when `parallel` is set, appending
+/// their derivations to `out` in program order either way.
+void MatchRules(const std::vector<const Rule*>& rules,
+                const BlockedSet& blocked, const IInterpretation& interp,
+                ParallelGamma* parallel, PlanCache& plans,
+                std::vector<Derivation>& out, CancellationToken* cancel,
+                ExecMode exec, ExecStats* exec_stats) {
+  // Even a one-rule section fans out: intra-rule slicing can split it.
+  if (parallel != nullptr && !rules.empty()) {
+    MatchRulesParallel(rules, blocked, interp, *parallel, plans, out, cancel,
+                       exec, exec_stats);
+    return;
+  }
+  for (const Rule* rule : rules) {
+    if (cancel != nullptr && cancel->fired()) break;
+    const CompiledPlan& plan = plans.Get(*rule, /*seed_index=*/-1, interp);
+    plans.AddEstimatedRows(plan.estimated_candidates);
+    plans.AddActualRows(MatchRule(*rule, blocked, interp, plan, out,
+                                  CandidateSlice{}, cancel, exec,
+                                  exec_stats));
+  }
+}
+
 }  // namespace
 
-ParallelGamma::ParallelGamma(const Program& program, int num_threads,
-                             size_t min_slice_size)
-    : requirements_(CollectIndexRequirements(program)),
-      min_slice_size_(min_slice_size),
-      pool_(num_threads) {}
+ParallelGamma::ParallelGamma(int num_threads, size_t min_slice_size)
+    : min_slice_size_(min_slice_size), pool_(num_threads) {}
 
 /// Batch-mode Γ-section prewarm: compact every relation's columnar view
 /// on the coordinator, in BOTH the sequential and parallel paths, so (a)
@@ -350,35 +355,17 @@ void CompactForBatch(const IInterpretation& interp, ExecMode exec) {
 }
 
 GammaResult ComputeGamma(const Program& program, const BlockedSet& blocked,
-                         const IInterpretation& interp,
-                         ParallelGamma* parallel, PlanCache* plans,
-                         CancellationToken* cancel, ExecMode exec,
-                         ExecStats* exec_stats) {
+                         const IInterpretation& interp, PlanCache& plans,
+                         ParallelGamma* parallel, CancellationToken* cancel,
+                         ExecMode exec, ExecStats* exec_stats) {
   GammaResult result;
   CompactForBatch(interp, exec);
-  // Even a one-rule program fans out: intra-rule slicing can split it.
-  if (parallel != nullptr && program.size() > 0) {
-    std::vector<const Rule*> rules;
-    rules.reserve(program.size());
-    for (const Rule& rule : program.rules()) rules.push_back(&rule);
-    MatchRulesParallel(rules, blocked, interp, *parallel, plans,
-                       result.derivations, cancel, exec, exec_stats);
-    result.rules_evaluated = rules.size();
-  } else {
-    for (const Rule& rule : program.rules()) {
-      if (cancel != nullptr && cancel->fired()) break;
-      const CompiledPlan* plan = nullptr;
-      if (plans != nullptr) {
-        plan = &plans->Get(rule, /*seed_index=*/-1, interp);
-        plans->AddEstimatedRows(plan->estimated_candidates);
-      }
-      size_t claimed = MatchRule(rule, blocked, interp, plan,
-                                 result.derivations, CandidateSlice{},
-                                 cancel, exec, exec_stats);
-      if (plans != nullptr) plans->AddActualRows(claimed);
-      ++result.rules_evaluated;
-    }
-  }
+  std::vector<const Rule*> rules;
+  rules.reserve(program.size());
+  for (const Rule& rule : program.rules()) rules.push_back(&rule);
+  MatchRules(rules, blocked, interp, parallel, plans, result.derivations,
+             cancel, exec, exec_stats);
+  result.rules_evaluated = program.size();
   result.rules_considered = program.size();
   AnalyzeDerivations(interp, result);
   return result;
@@ -393,63 +380,29 @@ size_t ApplyDerivations(const std::vector<Derivation>& derivations,
   return added;
 }
 
-bool RuleIsAffected(const Rule& rule, const DeltaState& delta) {
-  if (delta.initial) return true;
-  for (const BodyLiteral& lit : rule.body()) {
-    switch (lit.kind) {
-      case LiteralKind::kPositive:
-      case LiteralKind::kEventInsert:
-        if (delta.plus_changed.contains(lit.atom.predicate)) return true;
-        break;
-      case LiteralKind::kNegated:
-      case LiteralKind::kEventDelete:
-        if (delta.minus_changed.contains(lit.atom.predicate)) return true;
-        break;
-    }
-  }
-  return false;
-}
-
 GammaResult ComputeGammaFiltered(const Program& program,
                                  const BlockedSet& blocked,
                                  const IInterpretation& interp,
                                  const DeltaState& delta,
-                                 ParallelGamma* parallel,
-                                 PlanCache* plans,
+                                 const RuleDependencyGraph& graph,
+                                 PlanCache& plans, ParallelGamma* parallel,
                                  CancellationToken* cancel, ExecMode exec,
-                                 ExecStats* exec_stats,
-                                 const RuleDependencyGraph* graph) {
+                                 ExecStats* exec_stats) {
   GammaResult result;
   CompactForBatch(interp, exec);
+  GammaSchedule schedule = graph.Schedule(delta);
+  result.rules_considered = schedule.rules.size();
+  result.pipeline_stages = schedule.stages.size();
+  result.rules_evaluated = schedule.rules.size();
+  result.rules_skipped = program.size() - schedule.rules.size();
+  // An empty schedule (no watched predicate changed) is an O(1) no-op
+  // step that never touches the pool, the plan cache, or the derivation
+  // analysis (stepper_test pins this with the scheduler counters).
+  if (schedule.rules.empty()) return result;
   std::vector<const Rule*> affected;
-  std::vector<std::vector<int>> stages;
-  if (graph != nullptr) {
-    // Scheduled path: the watcher index yields {r : RuleIsAffected(r,
-    // delta)} — same set, same program order — in O(|changed predicates|)
-    // instead of the all-rules scan below.
-    GammaSchedule schedule = graph->Schedule(delta);
-    result.rules_considered = schedule.rules.size();
-    result.pipeline_stages = schedule.stages.size();
-    if (schedule.rules.empty()) {
-      // Quick exit: no watched predicate changed, so Γ restricted to
-      // affected rules is empty — an O(1) no-op step that never touches
-      // the pool, the plan cache, or the derivation analysis
-      // (stepper_test pins this with the scheduler counters).
-      result.rules_skipped = program.size();
-      result.consistent = true;
-      return result;
-    }
-    affected.reserve(schedule.rules.size());
-    for (int r : schedule.rules) affected.push_back(&program.rule(r));
-    stages = std::move(schedule.stages);
-  } else {
-    affected.reserve(program.size());
-    for (const Rule& rule : program.rules()) {
-      if (RuleIsAffected(rule, delta)) affected.push_back(&rule);
-    }
-    result.rules_considered = program.size();
-  }
-  result.rules_skipped = program.size() - affected.size();
+  affected.reserve(schedule.rules.size());
+  for (int r : schedule.rules) affected.push_back(&program.rule(r));
+  const std::vector<std::vector<int>>& stages = schedule.stages;
   if (parallel != nullptr && stages.size() > 1) {
     // Pipelined dispatch: one pool section per stratum group, each with
     // its own plan fetch + index prewarm (inside MatchRulesParallel), so
@@ -484,24 +437,10 @@ GammaResult ComputeGammaFiltered(const Program& program,
         result.derivations.push_back(std::move(buffer[c++]));
       }
     }
-  } else if (parallel != nullptr && !affected.empty()) {
-    MatchRulesParallel(affected, blocked, interp, *parallel, plans,
-                       result.derivations, cancel, exec, exec_stats);
   } else {
-    for (const Rule* rule : affected) {
-      if (cancel != nullptr && cancel->fired()) break;
-      const CompiledPlan* plan = nullptr;
-      if (plans != nullptr) {
-        plan = &plans->Get(*rule, /*seed_index=*/-1, interp);
-        plans->AddEstimatedRows(plan->estimated_candidates);
-      }
-      size_t claimed = MatchRule(*rule, blocked, interp, plan,
-                                 result.derivations, CandidateSlice{},
-                                 cancel, exec, exec_stats);
-      if (plans != nullptr) plans->AddActualRows(claimed);
-    }
+    MatchRules(affected, blocked, interp, parallel, plans,
+               result.derivations, cancel, exec, exec_stats);
   }
-  result.rules_evaluated = affected.size();
   AnalyzeDerivations(interp, result);
   return result;
 }
@@ -510,45 +449,35 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
                                   const BlockedSet& blocked,
                                   const IInterpretation& interp,
                                   const DeltaAtoms& delta,
-                                  ParallelGamma* parallel,
-                                  PlanCache* plans,
+                                  const RuleDependencyGraph& graph,
+                                  PlanCache& plans, ParallelGamma* parallel,
                                   CancellationToken* cancel, ExecMode exec,
-                                  ExecStats* exec_stats,
-                                  const RuleDependencyGraph* graph) {
+                                  ExecStats* exec_stats) {
   if (delta.initial) {
-    return ComputeGamma(program, blocked, interp, parallel, plans, cancel,
+    return ComputeGamma(program, blocked, interp, plans, parallel, cancel,
                         exec, exec_stats);
   }
   GammaResult result;
   CompactForBatch(interp, exec);
 
-  // With a dependency graph, collapse the delta atoms to their changed
-  // predicates and let the watcher index name the rules that can hold a
-  // seed — task building then iterates those rules only, instead of
-  // crossing every rule's body with the delta. The rules come back in
-  // program order and the inner loops below are unchanged, so the task
-  // list (hence the derivation list) is bit-identical to the full scan's.
-  GammaSchedule schedule;
-  if (graph != nullptr) {
-    DeltaState changed;
-    changed.initial = false;
-    for (const GroundAtom& atom : delta.plus) {
-      changed.plus_changed.insert(atom.predicate());
-    }
-    for (const GroundAtom& atom : delta.minus) {
-      changed.minus_changed.insert(atom.predicate());
-    }
-    schedule = graph->Schedule(changed);
-    result.rules_considered = schedule.rules.size();
-    result.pipeline_stages = schedule.stages.size();
-    if (schedule.rules.empty()) {
-      // Quick exit — see ComputeGammaFiltered.
-      result.rules_skipped = program.size();
-      result.consistent = true;
-      return result;
-    }
-  } else {
-    result.rules_considered = program.size();
+  // Collapse the delta atoms to their changed predicates and let the
+  // watcher index name the rules that can hold a seed — task building
+  // then iterates those rules only, in program order.
+  DeltaState changed;
+  changed.initial = false;
+  for (const GroundAtom& atom : delta.plus) {
+    changed.plus_changed.insert(atom.predicate());
+  }
+  for (const GroundAtom& atom : delta.minus) {
+    changed.minus_changed.insert(atom.predicate());
+  }
+  const GammaSchedule schedule = graph.Schedule(changed);
+  result.rules_considered = schedule.rules.size();
+  result.pipeline_stages = schedule.stages.size();
+  if (schedule.rules.empty()) {
+    // Quick exit — see ComputeGammaFiltered.
+    result.rules_skipped = program.size();
+    return result;
   }
 
   // Enumerate the (rule, seed literal, seed atom) completions to run.
@@ -562,7 +491,8 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
   };
   std::vector<SeedTask> tasks;
   size_t rules_evaluated = 0;
-  auto seed_rule = [&](const Rule& rule) {
+  for (int r : schedule.rules) {
+    const Rule& rule = program.rule(r);
     bool evaluated = false;
     for (size_t i = 0; i < rule.body().size(); ++i) {
       const BodyLiteral& lit = rule.body()[i];
@@ -584,58 +514,32 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
       }
     }
     if (evaluated) ++rules_evaluated;
-  };
-  if (graph != nullptr) {
-    for (int r : schedule.rules) seed_rule(program.rule(r));
-  } else {
-    for (const Rule& rule : program.rules()) seed_rule(rule);
   }
 
   result.rules_evaluated = rules_evaluated;
   result.rules_skipped = program.size() - rules_evaluated;
 
-  // With a plan cache, fetch every task's Δ-seeded plan up front on the
-  // coordinator (tasks sharing a (rule, literal) hit the cache) so the
-  // parallel freeze below sees the final index requirements. The counter
-  // stream (hits / replans / estimates) is identical in the sequential
-  // path because the fetch loop order is task order in both.
+  // Fetch every task's Δ-seeded plan up front on the coordinator (tasks
+  // sharing a (rule, literal) hit the cache) so the parallel freeze below
+  // sees the final index requirements. The counter stream (hits /
+  // replans / estimates) is identical in the sequential path because the
+  // fetch loop order is task order in both.
   std::vector<const CompiledPlan*> task_plans(tasks.size(), nullptr);
-  if (plans != nullptr) {
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      task_plans[i] = &plans->Get(*tasks[i].rule, tasks[i].literal, interp);
-      plans->AddEstimatedRows(task_plans[i]->estimated_candidates);
-    }
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    task_plans[i] = &plans.Get(*tasks[i].rule, tasks[i].literal, interp);
+    plans.AddEstimatedRows(task_plans[i]->estimated_candidates);
   }
 
-  auto run_task = [&](const SeedTask& task, const CompiledPlan* plan,
-                      std::vector<Derivation>& out,
+  auto run_task = [&](size_t i, std::vector<Derivation>& out,
                       CandidateSlice slice = CandidateSlice{}) -> size_t {
-    // Same governance as MatchRule: derivations feed the work budget, the
-    // buffer's capacity the memory budget, and a fired token stops
-    // emission (the evaluator discards the partial Γ).
-    CancellationToken::MemoryScope mem_scope;
-    auto emit = [&](const Tuple& binding) {
-      if (cancel != nullptr && cancel->fired()) return;
-      RuleGrounding grounding(task.rule->index(), binding);
-      if (blocked.contains(grounding)) return;
-      GroundAtom head = task.rule->head().atom.Ground(binding.values());
-      out.push_back(Derivation{std::move(grounding),
-                               task.rule->head().action, std::move(head)});
-      if (cancel != nullptr) {
-        cancel->ChargeWork(1);
-        cancel->UpdateScope(mem_scope, out.capacity() * sizeof(Derivation));
-      }
-    };
-    size_t claimed = 0;
-    if (plan != nullptr) {
-      claimed = ExecutePlanSeeded(*plan, *task.rule, interp, *task.atom,
-                                  slice, emit, cancel, exec, exec_stats);
-    } else {
-      ForEachBodyMatchSeeded(*task.rule, interp, task.literal, *task.atom,
-                             slice, emit, cancel);
-    }
-    if (cancel != nullptr) cancel->CloseScope(mem_scope);
-    return claimed;
+    const SeedTask& task = tasks[i];
+    return CollectDerivations(
+        *task.rule, blocked, out, cancel,
+        [&](FunctionRef<void(const Tuple&)> emit) {
+          return ExecutePlanSeeded(*task_plans[i], *task.rule, interp,
+                                   *task.atom, slice, emit, cancel, exec,
+                                   exec_stats);
+        });
   };
 
   // A grounding reachable from several seeds is derived once. Sequential
@@ -665,11 +569,7 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
     std::vector<std::vector<Derivation>> buffers;
     std::vector<size_t> claimed;
     {
-      FrozenInterpretation frozen(
-          interp,
-          plans != nullptr ? plans->requirements()
-                           : parallel->requirements(),
-          /*prewarm_indexes=*/exec == ExecMode::kTuple || plans == nullptr);
+      FrozenInterpretation frozen(interp, plans.requirements(), exec);
       const int threads = parallel->num_threads();
       const size_t min_slice = parallel->min_slice_size();
       if (ShouldConsiderSlicing(tasks.size(), threads)) {
@@ -680,16 +580,11 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
           // counting probe for a seed the planner already predicts to be
           // far below one slice's worth.
           size_t candidates = 0;
-          if (plans != nullptr) {
-            if (task_plans[i]->estimated_candidates >=
-                2.0 * static_cast<double>(min_slice)) {
-              candidates =
-                  CountPlanCandidatesSeeded(*task_plans[i], *tasks[i].rule,
-                                            interp, *tasks[i].atom, exec);
-            }
-          } else {
-            candidates = CountFirstLiteralCandidatesSeeded(
-                *tasks[i].rule, interp, tasks[i].literal, *tasks[i].atom);
+          if (task_plans[i]->estimated_candidates >=
+              2.0 * static_cast<double>(min_slice)) {
+            candidates =
+                CountPlanCandidatesSeeded(*task_plans[i], *tasks[i].rule,
+                                          interp, *tasks[i].atom, exec);
           }
           size_t num_slices = NumSlicesFor(candidates, min_slice, threads);
           if (num_slices > 1) {
@@ -702,11 +597,7 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
       } else {
         AppendChunkTasks(
             tasks.size(), threads,
-            [&](size_t i) {
-              return plans != nullptr
-                         ? 1.0 + task_plans[i]->estimated_candidates
-                         : 1.0;
-            },
+            [&](size_t i) { return 1.0 + task_plans[i]->estimated_candidates; },
             slice_tasks);
       }
       buffers.resize(slice_tasks.size());
@@ -717,8 +608,7 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
         if (cancel != nullptr && cancel->fired()) return;
         size_t task_claimed = 0;
         for (size_t u = slice_tasks[i].begin; u < slice_tasks[i].end; ++u) {
-          task_claimed += run_task(tasks[u], task_plans[u], buffers[i],
-                                   slice_tasks[i].slice);
+          task_claimed += run_task(u, buffers[i], slice_tasks[i].slice);
         }
         claimed[i] = task_claimed;
       });
@@ -727,11 +617,9 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
             static_cast<uint64_t>(MonotonicNanos() - match_start));
       }
     }
-    if (plans != nullptr) {
-      size_t total_claimed = 0;
-      for (size_t c : claimed) total_claimed += c;
-      plans->AddActualRows(total_claimed);
-    }
+    size_t total_claimed = 0;
+    for (size_t c : claimed) total_claimed += c;
+    plans.AddActualRows(total_claimed);
     const int64_t merge_start =
         parallel->timing_enabled() ? MonotonicNanos() : 0;
     for (auto& buffer : buffers) merge_deduped(buffer);
@@ -745,10 +633,10 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
     for (size_t i = 0; i < tasks.size(); ++i) {
       if (cancel != nullptr && cancel->fired()) break;
       buffer.clear();
-      total_claimed += run_task(tasks[i], task_plans[i], buffer);
+      total_claimed += run_task(i, buffer);
       merge_deduped(buffer);
     }
-    if (plans != nullptr) plans->AddActualRows(total_claimed);
+    plans.AddActualRows(total_claimed);
   }
   AnalyzeDerivations(interp, result);
   return result;

@@ -1416,56 +1416,9 @@ std::vector<int> PlanBodyOrderSeeded(const Rule& rule, int seed_index) {
   return PlanBodyOrderImpl(rule, seed_index);
 }
 
-void ForEachBodyMatch(const Rule& rule, const IInterpretation& interp,
-                      FunctionRef<void(const Tuple& binding)> fn) {
-  CompiledPlan plan =
-      CompilePlan(rule, -1, PlannerMode::kHeuristic, nullptr);
-  ExecutePlan(plan, rule, interp, CandidateSlice{}, fn);
-}
+namespace {
 
-void ForEachBodyMatch(const Rule& rule, const IInterpretation& interp,
-                      CandidateSlice slice,
-                      FunctionRef<void(const Tuple& binding)> fn,
-                      CancellationToken* cancel) {
-  CompiledPlan plan =
-      CompilePlan(rule, -1, PlannerMode::kHeuristic, nullptr);
-  ExecutePlan(plan, rule, interp, slice, fn, cancel);
-}
-
-size_t CountFirstLiteralCandidates(const Rule& rule,
-                                   const IInterpretation& interp) {
-  CompiledPlan plan =
-      CompilePlan(rule, -1, PlannerMode::kHeuristic, nullptr);
-  return CountPlanCandidates(plan, interp);
-}
-
-void ForEachBodyMatchSeeded(const Rule& rule, const IInterpretation& interp,
-                            int seed_index, const GroundAtom& seed_atom,
-                            FunctionRef<void(const Tuple&)> fn) {
-  CompiledPlan plan =
-      CompilePlan(rule, seed_index, PlannerMode::kHeuristic, nullptr);
-  ExecutePlanSeeded(plan, rule, interp, seed_atom, CandidateSlice{}, fn);
-}
-
-void ForEachBodyMatchSeeded(const Rule& rule, const IInterpretation& interp,
-                            int seed_index, const GroundAtom& seed_atom,
-                            CandidateSlice slice,
-                            FunctionRef<void(const Tuple&)> fn,
-                            CancellationToken* cancel) {
-  CompiledPlan plan =
-      CompilePlan(rule, seed_index, PlannerMode::kHeuristic, nullptr);
-  ExecutePlanSeeded(plan, rule, interp, seed_atom, slice, fn, cancel);
-}
-
-size_t CountFirstLiteralCandidatesSeeded(const Rule& rule,
-                                         const IInterpretation& interp,
-                                         int seed_index,
-                                         const GroundAtom& seed_atom) {
-  CompiledPlan plan =
-      CompilePlan(rule, seed_index, PlannerMode::kHeuristic, nullptr);
-  return CountPlanCandidatesSeeded(plan, rule, interp, seed_atom);
-}
-
+/// Adds the probes of `plan` into `out` (dedup'd).
 void AddPlanRequirements(const CompiledPlan& plan, IndexRequirements& out) {
   auto add = [](IndexRequirements::ColumnsByPredicate& columns,
                 PredicateId pred, int column) {
@@ -1493,23 +1446,7 @@ void AddPlanRequirements(const CompiledPlan& plan, IndexRequirements& out) {
   }
 }
 
-IndexRequirements CollectIndexRequirements(const Program& program) {
-  IndexRequirements out;
-  for (const Rule& rule : program.rules()) {
-    AddPlanRequirements(
-        CompilePlan(rule, -1, PlannerMode::kHeuristic, nullptr), out);
-    // Every literal can be a delta seed under semi-naive evaluation
-    // (positive/+event literals via new + marks, negated/-event via new
-    // - marks), each inducing its own plan with the seed's variables
-    // pre-bound.
-    for (size_t s = 0; s < rule.body().size(); ++s) {
-      AddPlanRequirements(CompilePlan(rule, static_cast<int>(s),
-                                      PlannerMode::kHeuristic, nullptr),
-                          out);
-    }
-  }
-  return out;
-}
+}  // namespace
 
 PlanCache::PlanCache(const Program& program, PlannerMode mode)
     : program_(program), mode_(mode), plans_(program.size()) {

@@ -9,8 +9,7 @@
 //   - kHeuristic: the original static ordering (fully-bound filters first,
 //     then most bound argument positions, ties by source order; probe =
 //     first bound position). Needs no statistics; this is the order
-//     PlanBodyOrder exposes and the legacy ForEachBodyMatch entry points
-//     execute.
+//     PlanBodyOrder exposes.
 //   - kCostBased: greedy smallest-estimated-candidate-stream ordering
 //     driven by live storage statistics (RelationStats: row counts and
 //     per-column distinct estimates), with the probe column chosen as the
@@ -30,8 +29,6 @@
 // themselves (a monotone union over every plan ever compiled), so the
 // parallel evaluator can build exactly the indexes any cached plan probes
 // and freeze the relations for the duration of the parallel section.
-// CollectIndexRequirements is the program-level variant for the heuristic
-// planner, likewise derived from compiled plans.
 
 #ifndef PARK_ENGINE_MATCHER_H_
 #define PARK_ENGINE_MATCHER_H_
@@ -185,15 +182,6 @@ struct PlanExplanation {
   std::vector<Step> steps;
 };
 
-/// Invokes `fn(binding)` once per distinct ground substitution θ (a Tuple
-/// indexed by the rule's variable indexes) such that every body literal of
-/// `rule` is valid in `interp`. A rule with an empty body yields exactly
-/// one (empty) binding. `fn` must not mutate `interp`. Executes the
-/// heuristic plan (legacy entry point; the evaluator's plan-cached path is
-/// ExecutePlan below).
-void ForEachBodyMatch(const Rule& rule, const IInterpretation& interp,
-                      FunctionRef<void(const Tuple& binding)> fn);
-
 // --- Candidate-range slicing (intra-rule parallelism) ---
 //
 // The first generator step of a plan draws its candidate tuples from a
@@ -216,32 +204,6 @@ struct CandidateSlice {
   bool IsFull() const { return begin == 0 && end == kSliceEnd; }
 };
 
-/// Number of candidate tuples the first planned literal of `rule` would
-/// draw from its stream(s) in `interp` (before any dedup or binding
-/// checks), under the heuristic plan. Returns 0 when the rule is not
-/// sliceable — empty body, or a first plan literal that is fully bound and
-/// therefore a constant-time filter rather than a generator. Callers treat
-/// 0 as "run unsliced".
-size_t CountFirstLiteralCandidates(const Rule& rule,
-                                   const IInterpretation& interp);
-
-/// Sliced variant of ForEachBodyMatch: enumerates only the matches rooted
-/// at first-literal candidates with ordinals in `slice`. Concatenating the
-/// outputs of a partition of [0, CountFirstLiteralCandidates(...)) in
-/// slice order reproduces the unsliced output exactly. A full slice is
-/// identical to the unsliced overload (including for unsliceable rules).
-///
-/// `cancel` (here and on every execution entry point below) is the run's
-/// cooperative cancellation token, polled every
-/// CancellationToken::kCheckStride visited tuples; nullptr disables
-/// polling. Once the token fires, enumeration stops early and the partial
-/// output MUST be discarded by the caller — the evaluator converts the
-/// token's cause into the run's error status.
-void ForEachBodyMatch(const Rule& rule, const IInterpretation& interp,
-                      CandidateSlice slice,
-                      FunctionRef<void(const Tuple& binding)> fn,
-                      CancellationToken* cancel = nullptr);
-
 /// Returns the body-literal evaluation order the HEURISTIC planner uses
 /// for `rule` (indexes into rule.body()). Exposed for tests; the detailed
 /// EXPLAIN path goes through PlanCache / PlanExplanation.
@@ -250,35 +212,6 @@ std::vector<int> PlanBodyOrder(const Rule& rule);
 /// The heuristic order when literal `seed_index` is pre-bound by a delta
 /// seed (it is excluded from the returned order). Exposed for tests.
 std::vector<int> PlanBodyOrderSeeded(const Rule& rule, int seed_index);
-
-/// Semi-naive building block: enumerates the matches of `rule` in which
-/// body literal `seed_index` is grounded by exactly `seed_atom`. The
-/// seed literal's constants and repeated variables are checked against
-/// the atom; its variables are pre-bound; the remaining literals are then
-/// enumerated as usual. The caller guarantees `seed_atom` makes the seed
-/// literal valid (it came from the engine's delta of new marks).
-void ForEachBodyMatchSeeded(const Rule& rule, const IInterpretation& interp,
-                            int seed_index, const GroundAtom& seed_atom,
-                            FunctionRef<void(const Tuple&)> fn);
-
-/// CountFirstLiteralCandidates for the seeded heuristic plan: candidates
-/// of the first literal scheduled AFTER the seed pre-binding. Returns 0
-/// when the seeded rule is unsliceable (no remaining generator literal, or
-/// the seed atom already fails the seed literal's constants / repeated
-/// variables, in which case there are no matches at all).
-size_t CountFirstLiteralCandidatesSeeded(const Rule& rule,
-                                         const IInterpretation& interp,
-                                         int seed_index,
-                                         const GroundAtom& seed_atom);
-
-/// Sliced variant of ForEachBodyMatchSeeded, with the same concatenation
-/// guarantee as the sliced ForEachBodyMatch (and the same `cancel`
-/// contract).
-void ForEachBodyMatchSeeded(const Rule& rule, const IInterpretation& interp,
-                            int seed_index, const GroundAtom& seed_atom,
-                            CandidateSlice slice,
-                            FunctionRef<void(const Tuple&)> fn,
-                            CancellationToken* cancel = nullptr);
 
 // --- Compiled-plan interface (the evaluator's hot path) ---
 
@@ -293,8 +226,13 @@ CompiledPlan CompilePlan(const Rule& rule, int seed_index, PlannerMode mode,
 /// Returns the number of step-0 candidates the slice claimed (pre-dedup;
 /// the planner's actual-rows counter — slice counts of a partition sum to
 /// the full stream count). `rule` must be the rule the plan was compiled
-/// from. With a fired `cancel` the claimed count and emitted matches are
-/// partial and must be discarded.
+/// from. Concatenating the outputs of a partition of the candidate
+/// ordinals in slice order reproduces the full-slice output exactly.
+///
+/// `cancel` is the run's cooperative cancellation token, polled every
+/// CancellationToken::kCheckStride visited tuples; nullptr disables
+/// polling. Once it fires, enumeration stops early and the claimed count
+/// and emitted matches are partial and must be discarded.
 ///
 /// `exec` picks the executor (see ExecMode). In batch mode the step-0
 /// stream is the probe range of the stores' columnar segments, so a
@@ -343,15 +281,6 @@ struct IndexRequirements {
   ColumnsByPredicate plus;
   ColumnsByPredicate minus;
 };
-
-/// Requirements of every HEURISTIC plan of `program` — the unseeded plan
-/// and all Δ-seeded variants of each rule. Implemented by compiling those
-/// plans and unioning their probes (planner_test asserts it can never
-/// diverge from what the compiled plans execute).
-IndexRequirements CollectIndexRequirements(const Program& program);
-
-/// Adds the probes of `plan` into `out` (dedup'd).
-void AddPlanRequirements(const CompiledPlan& plan, IndexRequirements& out);
 
 /// Per-(program, schema) plan cache: one CompiledPlan per (rule, Δ-seed
 /// literal) slot, compiled on first use against the live statistics and

@@ -8,8 +8,8 @@ RuleDependencyGraph::RuleDependencyGraph(const Program& program) {
   const size_t n = program.size();
   stratum_.assign(n, 0);
 
-  // Watcher index: invert each body over the same polarity split
-  // RuleIsAffected uses. Rules arrive in ascending index order, so each
+  // Watcher index: invert each body over the polarity split of
+  // engine/consequence.h. Rules arrive in ascending index order, so each
   // watcher list stays sorted; the back() check dedupes repeated literals
   // of one predicate within a body.
   auto watch = [](WatcherIndex& index, PredicateId pred, int rule) {
@@ -152,8 +152,8 @@ GammaSchedule RuleDependencyGraph::Schedule(const DeltaState& delta) const {
   } else {
     // Union of the changed predicates' watcher lists. A rule watching
     // several changed predicates appears in several lists, so sort +
-    // unique; the result is exactly {r : RuleIsAffected(r, delta)} in
-    // program order, reached in O(Σ |watchers|) instead of O(|P|).
+    // unique; the result is every woken rule in program order, reached
+    // in O(Σ |watchers|) instead of O(|P|).
     for (PredicateId pred : delta.plus_changed) {
       const std::vector<int>& rules = PlusWatchers(pred);
       schedule.rules.insert(schedule.rules.end(), rules.begin(),

@@ -8,8 +8,8 @@
 // engine/consequence.h) — and which predicate its head WRITES. Inverting
 // the watch relation gives the per-predicate watcher index the scheduler
 // uses to turn a Γ step's delta into its affected rule set in
-// O(|changed predicates|) instead of the O(|P|) all-rules scan
-// ComputeGammaFiltered otherwise pays per step.
+// O(|changed predicates|) instead of an O(|P|) scan of every rule body
+// per step.
 //
 // On top of the same edges (rule r feeds rule s iff r's head write is
 // watched by s's body) the graph condenses strongly connected components
@@ -19,9 +19,9 @@
 // partitions into strata-ordered pipeline stages the parallel evaluator
 // dispatches as separate pool sections, prewarming each stage's plans
 // (and indexes) right before the stage runs. Scheduling NEVER changes
-// results: the affected set equals the scan's set by construction, and
-// staged buffers are merged back into program order (scheduler_oracle_test
-// pins bit-identity against unscheduled runs).
+// results: the affected set is every rule a changed predicate can wake,
+// and staged buffers are merged back into program order
+// (scheduler_oracle_test checks scheduled runs against naive Γ).
 
 #ifndef PARK_ENGINE_RULE_GRAPH_H_
 #define PARK_ENGINE_RULE_GRAPH_H_
@@ -34,9 +34,9 @@
 
 namespace park {
 
-/// One Γ section's schedule: the affected rules (program order — exactly
-/// the set ComputeGammaFiltered's RuleIsAffected scan would select) plus
-/// their partition into strata-ordered stages for pipelined dispatch.
+/// One Γ section's schedule: the affected rules (program order — every
+/// rule with a body literal the delta can newly satisfy) plus their
+/// partition into strata-ordered stages for pipelined dispatch.
 struct GammaSchedule {
   /// Affected rule indexes, ascending (= program order).
   std::vector<int> rules;
@@ -73,9 +73,10 @@ class RuleDependencyGraph {
   /// Distinct rule → rule feed edges (self-loops included).
   size_t num_edges() const { return num_edges_; }
 
-  /// The schedule for a delta-filtered Γ section: affected rules gathered
-  /// through the watcher index (identical, by construction, to the set
-  /// {r : RuleIsAffected(r, delta)}), partitioned into stages by stratum.
+  /// The schedule for a delta-driven Γ section: the rules watching a
+  /// changed predicate with the changed polarity (every rule when
+  /// `delta.initial`), gathered through the watcher index and partitioned
+  /// into stages by stratum.
   GammaSchedule Schedule(const DeltaState& delta) const;
 
   /// Partitions an already-computed affected set (ascending rule indexes)

@@ -52,6 +52,7 @@ struct Config {
   GammaMode gamma = GammaMode::kDeltaFiltered;
   ExecMode exec = ExecMode::kTuple;
   int threads = 1;
+  PolicyPtr policy;  // null = inertia
 };
 
 ParkOptions OptionsFor(const Config& config) {
@@ -60,6 +61,7 @@ ParkOptions OptionsFor(const Config& config) {
   options.gamma_mode = config.gamma;
   options.exec_mode = config.exec;
   options.num_threads = config.threads;
+  options.policy = config.policy;
   return options;
 }
 
@@ -69,7 +71,9 @@ ScriptOutcome RunScript(const std::string& rules, const std::string& facts,
   ScriptOutcome outcome;
   ActiveDatabase db;
   EXPECT_TRUE(db.LoadRules(rules).ok());
-  if (!facts.empty()) EXPECT_TRUE(db.LoadFacts(facts).ok());
+  if (!facts.empty()) {
+    EXPECT_TRUE(db.LoadFacts(facts).ok());
+  }
   EXPECT_TRUE(db.Configure(OptionsFor(config)).ok());
   EXPECT_TRUE(db.Stabilize().ok());
   for (const std::vector<std::string>& commit : script) {
@@ -240,6 +244,45 @@ TEST(IncrementalOracleTest, GateViolatingCommitsFallBackAndAgree) {
   EXPECT_EQ(run.commits[3].stats.maint_full_recompute_fallbacks, 1u);
   EXPECT_EQ(run.commits[4].stats.maint_commits, 1u);
   EXPECT_EQ(run.fallbacks, 3u);
+}
+
+TEST(IncrementalOracleTest, SelectSeesOnlyTheFullEvaluatorsConflicts) {
+  // On a commit whose cone conflicts, SELECT must be asked exactly as
+  // often with maintenance on as with it off: an interactive or random
+  // policy must never see an attempt the maintainer throws away.
+  const Script script = {
+      {"+e(n0, n3)"},
+      {"+e(n4, n5)", "-e(n4, n5)"},
+      {"+e(n3, n4)"},
+      {"+e(n5, n6)"},
+  };
+  ScriptOutcome runs[2];
+  int calls[2] = {0, 0};
+  for (int pass = 0; pass < 2; ++pass) {
+    auto counter = std::make_shared<int>(0);
+    Config config;
+    config.maint =
+        pass == 1 ? MaintenanceMode::kIncremental : MaintenanceMode::kOff;
+    config.policy = MakeLambdaPolicy(
+        "counting", [counter](const PolicyContext& context,
+                              const Conflict& conflict) -> Result<Vote> {
+          ++*counter;
+          return MakeInertiaPolicy()->Select(context, conflict);
+        });
+    runs[pass] =
+        RunScript(kClosureRules, "e(n0, n1). e(n1, n2).", script, config);
+    calls[pass] = *counter;
+  }
+  EXPECT_GT(runs[1].maintained_commits, 0u);
+  EXPECT_GT(calls[0], 0);
+  EXPECT_EQ(calls[0], calls[1]);
+  ASSERT_EQ(runs[0].commits.size(), runs[1].commits.size());
+  for (size_t i = 0; i < runs[0].commits.size(); ++i) {
+    SCOPED_TRACE(StrFormat("commit #%zu", i));
+    EXPECT_EQ(runs[0].commits[i].stats.policy_invocations,
+              runs[1].commits[i].stats.policy_invocations);
+  }
+  ExpectSameResults(runs[0], runs[1]);
 }
 
 TEST(IncrementalOracleTest, StaticallyIneligibleProgramsAlwaysFallBack) {

@@ -1,6 +1,7 @@
-// Oracle test for the body matcher: ForEachBodyMatch must return exactly
-// the substitutions a brute-force enumeration over the active domain
-// accepts, for random rules, random databases, and random marked atoms.
+// Oracle test for the body matcher: executing a compiled plan (either
+// planner) must return exactly the substitutions a brute-force
+// enumeration over the active domain accepts, for random rules, random
+// databases, and random marked atoms.
 // This pins down the trickiest module (join planning, index usage,
 // repeated variables, negation ordering, event literals) against a
 // definition-level implementation.
@@ -162,21 +163,26 @@ TEST_P(MatcherOracleTest, MatcherAgreesWithBruteForce) {
       ASSERT_LT(attempt, 200) << "cannot generate a safe random rule";
     }
 
-    std::set<std::string> matcher;
-    ForEachBodyMatch(rule, interp, [&](const Tuple& binding) {
-      std::string key;
-      for (const Value& v : binding.values()) {
-        key += v.ToString(*symbols) + ",";
-      }
-      bool inserted = matcher.insert(key).second;
-      EXPECT_TRUE(inserted) << "duplicate binding from matcher: " << key;
-    });
-
     std::set<std::string> oracle =
         OracleMatches(rule, interp, domain, *symbols);
-    EXPECT_EQ(matcher, oracle)
-        << "rule: " << RuleToString(rule, *symbols) << "\n  db: "
-        << db.ToString() << "\n  interp: " << interp.ToString();
+    for (PlannerMode mode :
+         {PlannerMode::kHeuristic, PlannerMode::kCostBased}) {
+      std::set<std::string> matcher;
+      ExecutePlan(CompilePlan(rule, /*seed_index=*/-1, mode, &interp), rule,
+                  interp, CandidateSlice{}, [&](const Tuple& binding) {
+                    std::string key;
+                    for (const Value& v : binding.values()) {
+                      key += v.ToString(*symbols) + ",";
+                    }
+                    bool inserted = matcher.insert(key).second;
+                    EXPECT_TRUE(inserted)
+                        << "duplicate binding from matcher: " << key;
+                  });
+      EXPECT_EQ(matcher, oracle)
+          << (mode == PlannerMode::kHeuristic ? "heuristic" : "cost-based")
+          << " plan, rule: " << RuleToString(rule, *symbols) << "\n  db: "
+          << db.ToString() << "\n  interp: " << interp.ToString();
+    }
   }
 }
 

@@ -24,21 +24,32 @@ class MatcherTest : public ::testing::Test {
     return ParseDatabase(facts, symbols_).value();
   }
 
+  /// The heuristic plan of `rule`, with literal `seed_index` pre-bound by
+  /// a Δ seed (-1 = unseeded).
+  static CompiledPlan Plan(const Rule& rule, int seed_index = -1) {
+    return CompilePlan(rule, seed_index, PlannerMode::kHeuristic, nullptr);
+  }
+
   /// Collects bindings rendered as "X=a,Y=b" (sorted for determinism).
   std::vector<std::string> Matches(const Rule& rule,
                                    const IInterpretation& interp) {
     std::vector<std::string> out;
-    ForEachBodyMatch(rule, interp, [&](const Tuple& binding) {
-      std::string s;
-      for (int i = 0; i < binding.arity(); ++i) {
-        if (i > 0) s += ",";
-        s += rule.variable_names()[static_cast<size_t>(i)] + "=" +
-             binding[i].ToString(*symbols_);
-      }
-      out.push_back(s);
-    });
+    ExecutePlan(Plan(rule), rule, interp, CandidateSlice{},
+                [&](const Tuple& binding) {
+                  out.push_back(Render(rule, binding));
+                });
     std::sort(out.begin(), out.end());
     return out;
+  }
+
+  std::string Render(const Rule& rule, const Tuple& binding) {
+    std::string s;
+    for (int i = 0; i < binding.arity(); ++i) {
+      if (i > 0) s += ",";
+      s += rule.variable_names()[static_cast<size_t>(i)] + "=" +
+           binding[i].ToString(*symbols_);
+    }
+    return s;
   }
 
   std::shared_ptr<SymbolTable> symbols_;
@@ -196,15 +207,16 @@ std::vector<std::string> SeededMatches(const Rule& rule,
                                        const GroundAtom& seed_atom,
                                        const SymbolTable& symbols) {
   std::vector<std::string> out;
-  ForEachBodyMatchSeeded(rule, interp, seed_index, seed_atom,
-                         [&](const Tuple& binding) {
-                           std::string s;
-                           for (int i = 0; i < binding.arity(); ++i) {
-                             if (i > 0) s += ",";
-                             s += binding[i].ToString(symbols);
-                           }
-                           out.push_back(s);
-                         });
+  ExecutePlanSeeded(
+      CompilePlan(rule, seed_index, PlannerMode::kHeuristic, nullptr), rule,
+      interp, seed_atom, CandidateSlice{}, [&](const Tuple& binding) {
+        std::string s;
+        for (int i = 0; i < binding.arity(); ++i) {
+          if (i > 0) s += ",";
+          s += binding[i].ToString(symbols);
+        }
+        out.push_back(s);
+      });
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -269,7 +281,7 @@ class MatcherSliceTest : public MatcherTest {
                                         const IInterpretation& interp,
                                         CandidateSlice slice) {
     std::vector<std::string> out;
-    ForEachBodyMatch(rule, interp, slice, [&](const Tuple& binding) {
+    ExecutePlan(Plan(rule), rule, interp, slice, [&](const Tuple& binding) {
       out.push_back(Render(rule, binding));
     });
     return out;
@@ -277,21 +289,7 @@ class MatcherSliceTest : public MatcherTest {
 
   std::vector<std::string> FullMatches(const Rule& rule,
                                        const IInterpretation& interp) {
-    std::vector<std::string> out;
-    ForEachBodyMatch(rule, interp, [&](const Tuple& binding) {
-      out.push_back(Render(rule, binding));
-    });
-    return out;
-  }
-
-  std::string Render(const Rule& rule, const Tuple& binding) {
-    std::string s;
-    for (int i = 0; i < binding.arity(); ++i) {
-      if (i > 0) s += ",";
-      s += rule.variable_names()[static_cast<size_t>(i)] + "=" +
-           binding[i].ToString(*symbols_);
-    }
-    return s;
+    return SliceMatches(rule, interp, CandidateSlice{});
   }
 };
 
@@ -300,7 +298,7 @@ TEST_F(MatcherSliceTest, SliceConcatenationEqualsFullEnumeration) {
       "e(a, b). e(b, c). e(c, d). e(d, a). e(a, c). e(b, d). e(c, a).");
   IInterpretation interp(&db);
   Rule rule = MustRule("e(X, Y), e(Y, Z) -> +r(X, Z).");
-  size_t candidates = CountFirstLiteralCandidates(rule, interp);
+  size_t candidates = CountPlanCandidates(Plan(rule), interp);
   EXPECT_EQ(candidates, 7u);
   std::vector<std::string> full = FullMatches(rule, interp);
   // Every partition of the ordinal space must concatenate back to the
@@ -320,14 +318,6 @@ TEST_F(MatcherSliceTest, SliceConcatenationEqualsFullEnumeration) {
   }
 }
 
-TEST_F(MatcherSliceTest, FullSliceMatchesUnslicedOverload) {
-  Database db = MustDb("p(a). p(b). p(c).");
-  IInterpretation interp(&db);
-  Rule rule = MustRule("p(X), !q(X) -> +q(X).");
-  EXPECT_EQ(SliceMatches(rule, interp, CandidateSlice{}),
-            FullMatches(rule, interp));
-}
-
 TEST_F(MatcherSliceTest, CountsBaseAndPlusStreams) {
   // Positive literals draw from base AND plus; the count is raw (the
   // base-duplicate skip happens per candidate, after ordinal claim).
@@ -339,7 +329,7 @@ TEST_F(MatcherSliceTest, CountsBaseAndPlusStreams) {
   interp.AddMarked(ActionKind::kInsert,
                    ParseGroundAtom("p(a)", symbols_).value(), g);  // dup
   Rule rule = MustRule("p(X) -> +q(X).");
-  EXPECT_EQ(CountFirstLiteralCandidates(rule, interp), 4u);
+  EXPECT_EQ(CountPlanCandidates(Plan(rule), interp), 4u);
   // The duplicate is still enumerated exactly once across any partition.
   std::vector<std::string> merged;
   for (size_t i = 0; i < 4; ++i) {
@@ -354,9 +344,9 @@ TEST_F(MatcherSliceTest, UnsliceableRulesReportZero) {
   Database db = MustDb("p(a).");
   IInterpretation interp(&db);
   // Empty body: nothing to slice.
-  EXPECT_EQ(CountFirstLiteralCandidates(MustRule("-> +q(c)."), interp), 0u);
+  EXPECT_EQ(CountPlanCandidates(Plan(MustRule("-> +q(c).")), interp), 0u);
   // Fully ground first literal: a constant-time filter, not a generator.
-  EXPECT_EQ(CountFirstLiteralCandidates(MustRule("p(a) -> +q(c)."), interp),
+  EXPECT_EQ(CountPlanCandidates(Plan(MustRule("p(a) -> +q(c).")), interp),
             0u);
 }
 
@@ -367,22 +357,20 @@ TEST_F(MatcherSliceTest, SeededSlicesConcatenate) {
   GroundAtom seed = ParseGroundAtom("e(a, b)", symbols_).value();
   // Seeding literal 0 with e(a, b) binds X=a, Y=b; literal 1's stream is
   // the index probe for e(b, _).
-  size_t candidates =
-      CountFirstLiteralCandidatesSeeded(rule, interp, 0, seed);
+  const CompiledPlan plan = Plan(rule, 0);
+  size_t candidates = CountPlanCandidatesSeeded(plan, rule, interp, seed);
   EXPECT_EQ(candidates, 3u);
   std::vector<std::string> full;
-  ForEachBodyMatchSeeded(rule, interp, 0, seed, [&](const Tuple& b) {
-    full.push_back(Render(rule, b));
-  });
+  ExecutePlanSeeded(plan, rule, interp, seed, CandidateSlice{},
+                    [&](const Tuple& b) { full.push_back(Render(rule, b)); });
   EXPECT_EQ(full.size(), 3u);
   std::vector<std::string> merged;
   for (size_t i = 0; i < candidates; ++i) {
     CandidateSlice slice{i, i + 1 == candidates ? CandidateSlice::kSliceEnd
                                                 : i + 1};
-    ForEachBodyMatchSeeded(rule, interp, 0, seed, slice,
-                           [&](const Tuple& b) {
-                             merged.push_back(Render(rule, b));
-                           });
+    ExecutePlanSeeded(plan, rule, interp, seed, slice, [&](const Tuple& b) {
+      merged.push_back(Render(rule, b));
+    });
   }
   EXPECT_EQ(merged, full);
 }
@@ -393,7 +381,7 @@ TEST_F(MatcherSliceTest, SeededCountZeroOnSeedMismatch) {
   Rule rule = MustRule("e(X, X), e(X, Y) -> +r(X, Y).");
   GroundAtom seed = ParseGroundAtom("e(a, b)", symbols_).value();
   // Seed literal requires a repeated variable; e(a, b) cannot bind it.
-  EXPECT_EQ(CountFirstLiteralCandidatesSeeded(rule, interp, 0, seed), 0u);
+  EXPECT_EQ(CountPlanCandidatesSeeded(Plan(rule, 0), rule, interp, seed), 0u);
 }
 
 }  // namespace

@@ -145,11 +145,11 @@ class DeltaHarness {
  public:
   DeltaHarness(const Program& program, const Database& db, PolicyPtr policy)
       : program_(program), db_(db), policy_(std::move(policy)),
-        interp_(&db_) {}
+        interp_(&db_), plans_(program, PlannerMode::kHeuristic) {}
 
   /// Applies Δ once; returns false when a fixpoint is reached.
   bool Step() {
-    GammaResult gamma = ComputeGamma(program_, blocked_, interp_);
+    GammaResult gamma = ComputeGamma(program_, blocked_, interp_, plans_);
     if (gamma.consistent) {
       if (gamma.newly_marked == 0) return false;
       ApplyDerivations(gamma.derivations, interp_);
@@ -177,6 +177,7 @@ class DeltaHarness {
   PolicyPtr policy_;
   BlockedSet blocked_;
   IInterpretation interp_;
+  PlanCache plans_;
 };
 
 TEST_P(RandomProgramTest, DeltaIsGrowingAndOmegaIsFixpoint) {

@@ -1,7 +1,6 @@
 // The cost-based join planner: literal ordering driven by storage
-// statistics, probe-column selection, plan caching with drift-triggered
-// replanning, and the invariant that a PlanCache's index requirements
-// never diverge from CollectIndexRequirements (the prewarm contract).
+// statistics, probe-column selection, and plan caching with
+// drift-triggered replanning.
 // The executor itself is pinned by matcher_test; the oracle sweep across
 // planner modes lives in planner_oracle_test.
 
@@ -244,53 +243,6 @@ TEST_F(PlannerTest, CompileListenerSeesEveryCompile) {
   cache.Get(rule, -1, interp);
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_NE(lines[1].find("(replan)"), std::string::npos);
-}
-
-// --- index requirements (the prewarm contract) -----------------------------
-
-std::string RenderRequirements(const IndexRequirements& reqs) {
-  auto render = [](const IndexRequirements::ColumnsByPredicate& columns,
-                   const char* tag) {
-    std::vector<std::string> entries;
-    for (const auto& [pred, cols] : columns) {
-      std::vector<int> sorted_cols = cols;
-      std::sort(sorted_cols.begin(), sorted_cols.end());
-      std::string entry = std::string(tag) + std::to_string(pred) + ":";
-      for (int c : sorted_cols) entry += std::to_string(c) + ",";
-      entries.push_back(entry);
-    }
-    std::sort(entries.begin(), entries.end());
-    std::string out;
-    for (const std::string& e : entries) out += e + ";";
-    return out;
-  };
-  return render(reqs.base, "base/") + render(reqs.plus, "plus/") +
-         render(reqs.minus, "minus/");
-}
-
-TEST_F(PlannerTest, CacheRequirementsMatchCollectIndexRequirements) {
-  // CollectIndexRequirements promises exactly the probes the compiled
-  // heuristic plans use. Drive a heuristic PlanCache through every
-  // (rule, seed) slot and assert the two derivations are identical —
-  // they share AddPlanRequirements, so divergence would mean the plan
-  // sets differ.
-  Program program = MustProgram(R"(
-    t: edge(X, Y), edge(Y, Z), !blocked(Z) -> +path(X, Z).
-    fire: +alarm(L), sensor(L, S) -> +notify(S).
-    clear: -alarm(L), notify(S), sensor(L, S) -> -notify(S).
-  )");
-  Database db = MustDb("edge(a, b). sensor(l1, s1). notify(s1).");
-  IInterpretation interp(&db);
-
-  PlanCache cache(program, PlannerMode::kHeuristic);
-  for (const Rule& rule : program.rules()) {
-    cache.Get(rule, -1, interp);
-    for (size_t s = 0; s < rule.body().size(); ++s) {
-      cache.Get(rule, static_cast<int>(s), interp);
-    }
-  }
-  EXPECT_EQ(RenderRequirements(cache.requirements()),
-            RenderRequirements(CollectIndexRequirements(program)));
 }
 
 }  // namespace

@@ -24,7 +24,8 @@ class PolicyTest : public ::testing::Test {
     program_ = ParseProgram(program_text, symbols_).value();
     db_ = ParseDatabase(facts, symbols_).value();
     interp_.emplace(&db_);
-    GammaResult gamma = ComputeGamma(program_, {}, *interp_);
+    PlanCache plans(program_, PlannerMode::kHeuristic);
+    GammaResult gamma = ComputeGamma(program_, {}, *interp_, plans);
     conflicts_ = BuildConflicts(gamma, *interp_);
     ASSERT_FALSE(conflicts_.empty());
   }

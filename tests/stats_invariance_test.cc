@@ -27,9 +27,8 @@ std::string CountersSection(const std::string& json) {
   return json.substr(begin, end - begin);
 }
 
-/// The "planner" object — thread- AND schedule-invariant: the scheduler
-/// prunes rules the affectedness scan would have skipped anyway, so plan
-/// fetches, replans, and row estimates must not see it.
+/// The "planner" object — thread-invariant: plan fetches, replans, and
+/// row estimates happen on the coordinator in unit order.
 std::string PlannerSection(const std::string& json) {
   size_t begin = json.find("\"planner\"");
   size_t end = json.find("\"scheduler\"");
@@ -92,19 +91,18 @@ TEST(StatsInvarianceTest, FieldLevelCountersMatchToo) {
   EXPECT_EQ(ra->stats.rule_evaluations, rb->stats.rule_evaluations);
 }
 
-TEST(StatsInvarianceTest, PlannerCountersInvariantAcrossScheduler) {
+TEST(StatsInvarianceTest, PlannerCountersInvariantAcrossStagedDispatch) {
   // The drift-envelope replan statistics (and every other planner
-  // counter) must not count scheduler-pruned rules: a pruned rule is one
-  // the scan path would not have evaluated either, so the plan cache
-  // sees the same Get/compile/replan sequence whether the watcher index
-  // or the per-step scan selected the work — at any thread count.
+  // counter) must not see how the scheduled rules were dispatched: the
+  // staged parallel path fetches plans stratum group by stratum group,
+  // the sequential path rule by rule, and the plan cache must observe the
+  // same Get/compile/replan sequence either way.
   Workload w = MakeKiloruleWorkload(/*chains=*/4, /*levels=*/12,
                                     /*facts=*/2);
   for (GammaMode mode :
        {GammaMode::kDeltaFiltered, GammaMode::kSemiNaive}) {
     ParkOptions reference;
     reference.gamma_mode = mode;
-    reference.scheduler_mode = SchedulerMode::kOff;
     reference.num_threads = 1;
     auto ref = Park(w.program, w.database, reference);
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
@@ -112,24 +110,17 @@ TEST(StatsInvarianceTest, PlannerCountersInvariantAcrossScheduler) {
     const std::string ref_planner = PlannerSection(ref_json);
     const std::string ref_counters = CountersSection(ref_json);
 
-    for (int threads : {1, 4}) {
-      ParkOptions scheduled = reference;
-      scheduled.scheduler_mode = SchedulerMode::kDependency;
-      scheduled.num_threads = threads;
-      auto run = Park(w.program, w.database, scheduled);
+    for (int threads : {2, 4}) {
+      ParkOptions staged = reference;
+      staged.num_threads = threads;
+      auto run = Park(w.program, w.database, staged);
       ASSERT_TRUE(run.ok()) << run.status().ToString();
       const std::string json = run->stats.ToJson();
       EXPECT_EQ(PlannerSection(json), ref_planner)
           << "gamma mode " << static_cast<int>(mode) << " at " << threads
-          << " thread(s): planner counters must not see the scheduler";
+          << " thread(s): planner counters must not see the dispatch";
       EXPECT_EQ(CountersSection(json), ref_counters);
-      EXPECT_EQ(run->stats.plans_compiled, ref->stats.plans_compiled);
-      EXPECT_EQ(run->stats.plan_cache_hits, ref->stats.plan_cache_hits);
-      EXPECT_EQ(run->stats.plan_replans, ref->stats.plan_replans);
-      EXPECT_EQ(run->stats.planner_estimated_rows,
-                ref->stats.planner_estimated_rows);
-      EXPECT_EQ(run->stats.planner_actual_rows,
-                ref->stats.planner_actual_rows);
+      EXPECT_GT(run->stats.sched_pipeline_stages, 0u);
     }
   }
 }

@@ -1,4 +1,6 @@
-// ParkStepper: step-by-step Δ transitions agree with the batch evaluator.
+// ParkStepper: step-by-step Δ transitions agree with the batch evaluator,
+// and the seeded closure incremental maintenance runs on it stops at the
+// first conflict without consulting SELECT.
 
 #include "core/stepper.h"
 
@@ -77,6 +79,39 @@ TEST(StepperTest, SnapshotsGrowPerTheorem41) {
   }
 }
 
+/// Park() is the stepper run to its fixpoint, so a stepper driven by
+/// Finish() or by Step() must reproduce the batch result exactly: the
+/// database, the whole stats document (timings off), and the full trace.
+void ExpectStepperAgreesWithBatch(const Program& program, const Database& db,
+                                  ParkOptions options) {
+  options.trace_level = TraceLevel::kFull;
+  auto batch = Park(program, db, options);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  const std::string stats = batch->stats.ToJson();
+  const std::string trace = batch->trace.ToString();
+
+  ParkStepper finished(program, db, options);
+  auto database = finished.Finish();
+  ASSERT_TRUE(database.ok()) << database.status().ToString();
+  EXPECT_EQ(batch->database.ToString(), database->ToString());
+  EXPECT_EQ(stats, finished.stats().ToJson());
+  EXPECT_EQ(trace, finished.TakeTrace().ToString());
+
+  ParkStepper stepped(program, db, options);
+  size_t resolutions = 0;
+  while (!stepped.done()) {
+    auto outcome = stepped.Step();
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    if (outcome->kind == StepOutcome::Kind::kResolution) {
+      ++resolutions;
+      EXPECT_FALSE(outcome->conflicts.empty());
+    }
+  }
+  EXPECT_EQ(resolutions, batch->stats.restarts);
+  EXPECT_EQ(stats, stepped.stats().ToJson());
+  EXPECT_EQ(trace, stepped.TakeTrace().ToString());
+}
+
 TEST(StepperTest, FinishAgreesWithBatchEvaluator) {
   Rng rng(99);
   for (int trial = 0; trial < 10; ++trial) {
@@ -92,27 +127,52 @@ TEST(StepperTest, FinishAgreesWithBatchEvaluator) {
       rules += atom(static_cast<int>(rng.UniformInt(0, 7)));
       rules += ".\n";
     }
+    SCOPED_TRACE(StrFormat("trial %d", trial));
     auto symbols = MakeSymbolTable();
     Program program = MustParseProgram(rules, symbols);
     Database db = MustParseDatabase(facts, symbols);
+    ExpectStepperAgreesWithBatch(program, db, ParkOptions());
+  }
+}
 
-    auto batch = Park(program, db);
-    ASSERT_TRUE(batch.ok());
-    ParkStepper stepper(program, db);
-    auto stepped = stepper.Finish();
-    ASSERT_TRUE(stepped.ok());
-    EXPECT_TRUE(batch->database.SameAtoms(*stepped))
-        << "trial " << trial << ": " << batch->database.ToString()
-        << " vs " << stepped->ToString();
-    EXPECT_EQ(batch->stats.restarts, stepper.stats().restarts);
-    EXPECT_EQ(batch->stats.gamma_steps, stepper.stats().gamma_steps);
+TEST(StepperTest, PaperExamplesAgreeWithBatchEvaluator) {
+  const char* programs[] = {
+      "r1: p -> +q. r2: p -> -a. r3: q -> +a.",
+      "r1: p -> +q. r2: p -> -a. r3: q -> +a. r4: !a -> +r. r5: a -> +s.",
+      "r1: p -> +q. r2: p -> -q. r3: q -> +a. r4: q -> -a. r5: p -> +a.",
+      "r1: p -> +a. r2: p -> +q. r3: a -> +b. r4: a -> -q. r5: b -> +q.",
+      "r1: a -> +b. r2: a -> +d. r3: b -> +c. r4: b -> -d. r5: c -> -b.",
+  };
+  const char* facts[] = {"p.", "p.", "p.", "p.", "a."};
+  for (int i = 0; i < 5; ++i) {
+    SCOPED_TRACE(programs[i]);
+    auto symbols = MakeSymbolTable();
+    Program program = MustParseProgram(programs[i], symbols);
+    Database db = MustParseDatabase(facts[i], symbols);
+    for (GammaMode mode : {GammaMode::kNaive, GammaMode::kDeltaFiltered,
+                           GammaMode::kSemiNaive}) {
+      ParkOptions options;
+      options.gamma_mode = mode;
+      ExpectStepperAgreesWithBatch(program, db, options);
+    }
+  }
+}
+
+TEST(StepperTest, ConflictWorkloadAgreesWithBatchEvaluator) {
+  Workload w = MakeConflictPairsWorkload(20, 0.4, 7);
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE(threads);
+    ParkOptions options;
+    options.num_threads = threads;
+    options.block_granularity = BlockGranularity::kFirstConflictOnly;
+    ExpectStepperAgreesWithBatch(w.program, w.database, options);
   }
 }
 
 TEST(StepperTest, EmptyWatchedDeltaQuickExits) {
   // The last Γ step of any terminating chain has a delta nobody watches
-  // (the chain tip appears in no rule body). With the dependency
-  // scheduler that step is an O(1) no-op: the watcher lookup comes back
+  // (the chain tip appears in no rule body). The dependency scheduler
+  // makes that step an O(1) no-op: the watcher lookup comes back
   // empty and Γ returns before scanning, matching, or touching the plan
   // cache — pinned here via sched_rules_considered, which must not grow
   // on the quick-exited step.
@@ -122,7 +182,6 @@ TEST(StepperTest, EmptyWatchedDeltaQuickExits) {
   Database db = MustParseDatabase("a0.", symbols);
   ParkOptions options;
   options.gamma_mode = GammaMode::kDeltaFiltered;
-  options.scheduler_mode = SchedulerMode::kDependency;
   ParkStepper stepper(program, db, options);
   std::vector<size_t> considered;
   while (!stepper.done()) {
@@ -135,9 +194,9 @@ TEST(StepperTest, EmptyWatchedDeltaQuickExits) {
   // Every step still skipped the rest of the program.
   EXPECT_GT(stepper.stats().sched_rules_skipped, 0u);
 
-  // Contrast: with the scheduler off, the same step scans the whole
-  // program to discover that nothing is affected.
-  options.scheduler_mode = SchedulerMode::kOff;
+  // Contrast: naive Γ scans the whole program on the same step to find
+  // that nothing new fires.
+  options.gamma_mode = GammaMode::kNaive;
   ParkStepper scanning(program, db, options);
   std::vector<size_t> scanned;
   while (!scanning.done()) {
@@ -192,6 +251,61 @@ TEST(StepperTest, DeadlineIsCheckedAgainstConstructionTime) {
   EXPECT_EQ(step.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(step.status().ToString().find("deadline"),
             std::string::npos);
+}
+
+TEST(StepperTest, SeededClosureReachesTheFullResult) {
+  // Over a rule-stable instance, Δ from ⟨∅, D⟩ with U's marks applied
+  // reaches PARK(D, P, U); the seed marks count as derived marks but not
+  // as a Γ step.
+  auto symbols = MakeSymbolTable();
+  Program program = MustParseProgram(
+      "r1: e(X, Y) -> +t(X, Y). r2: t(X, Z), e(Z, Y) -> +t(X, Y).",
+      symbols);
+  Database db = MustParseDatabase("e(a, b). t(a, b).", symbols);
+  const std::vector<Update> seed = {
+      Update{ActionKind::kInsert,
+             ParseGroundAtom("e(b, c)", symbols).value()}};
+  PlanCache plans(program, PlannerMode::kCostBased);
+  RuleDependencyGraph graph(program);
+  ParkStepper closure(program, db, ParkOptions(),
+                      ParkStepper::WarmState{plans, graph}, seed);
+  ASSERT_TRUE(closure.RunToFixpoint().ok());
+  auto full = Park(db, program, seed);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(closure.interpretation().Incorporate().ToString(),
+            full->database.ToString());
+  EXPECT_EQ(closure.stats().gamma_steps, 1u);
+  EXPECT_EQ(closure.stats().derived_marks, 3u);  // +e(b,c), +t(b,c), +t(a,c)
+  EXPECT_EQ(closure.stats().plans_compiled, plans.plans_compiled());
+}
+
+TEST(StepperTest, SeededClosureStopsAtConflictWithoutSelect) {
+  auto symbols = MakeSymbolTable();
+  Program program = MustParseProgram("r: p -> +q.", symbols);
+  Database db = MustParseDatabase("", symbols);
+  const std::vector<Update> seed = {
+      Update{ActionKind::kInsert, ParseGroundAtom("p", symbols).value()},
+      Update{ActionKind::kDelete, ParseGroundAtom("q", symbols).value()}};
+  auto calls = std::make_shared<int>(0);
+  ParkOptions options;
+  options.policy = MakeLambdaPolicy(
+      "counting", [calls](const PolicyContext& context,
+                          const Conflict& conflict) -> Result<Vote> {
+        ++*calls;
+        return MakeInertiaPolicy()->Select(context, conflict);
+      });
+  PlanCache plans(program, PlannerMode::kCostBased);
+  RuleDependencyGraph graph(program);
+  ParkStepper closure(program, db, options,
+                      ParkStepper::WarmState{plans, graph}, seed);
+  Status status = closure.RunToFixpoint();
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(*calls, 0) << "the discarded attempt must not reach SELECT";
+  EXPECT_EQ(closure.stats().policy_invocations, 0u);
+  // The full evaluator resolves the same conflict through the policy.
+  auto full = Park(db, program, seed, options);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_GT(*calls, 0);
 }
 
 }  // namespace

@@ -11,8 +11,8 @@ Each FILE is dispatched on its "schema" tag:
   park-bench-planner-v1        -- bench_planner
   park-bench-paper-examples-v1 -- bench_paper_examples
   park-bench-columnar-v1       -- bench_columnar (tuple vs batch exec)
-  park-bench-scheduler-v1      -- bench_scheduler (dependency scheduler
-                                  on vs off on the kilorule workload)
+  park-bench-scheduler-v1      -- bench_scheduler (scheduled Γ vs naive
+                                  Γ on the kilorule workload)
   park-bench-serving-v1        -- bench_serve (group commit + snapshot
                                   readers against the Session front-end)
   park-bench-incremental-v1    -- bench_incremental (maintenance on vs
@@ -151,12 +151,9 @@ def check_park_stats(errors, doc):
     planner_spec += [(k, _is_int, "integer")
                      for k in PARK_STATS_PLANNER_COUNTERS]
     _check_keys(errors, "$.planner", doc.get("planner", {}), planner_spec)
-    scheduler_spec = [("mode", lambda v: v in ("off", "dependency"),
-                       '"off" or "dependency"')]
-    scheduler_spec += [(k, _is_int, "integer")
-                       for k in PARK_STATS_SCHEDULER]
+    # The scheduler is always on: its block carries counters only.
     _check_keys(errors, "$.scheduler", doc.get("scheduler", {}),
-                scheduler_spec)
+                [(k, _is_int, "integer") for k in PARK_STATS_SCHEDULER])
     _check_keys(errors, "$.resource", doc.get("resource", {}),
                 [(k, _is_int, "integer") for k in PARK_STATS_RESOURCE])
     _check_keys(errors, "$.io_retry", doc.get("io_retry", {}),
@@ -318,15 +315,16 @@ SCHEDULER_CONFIG_SPEC = [
     ("gamma_mode", lambda v: v in ("delta_filtered", "semi_naive"),
      '"delta_filtered" or "semi_naive"'),
     ("threads", _is_int, "integer"),
-    ("scheduler_off_ms", _is_num, "number"),
-    ("scheduler_on_ms", _is_num, "number"),
+    ("naive_ms", _is_num, "number"),
+    ("scheduled_ms", _is_num, "number"),
     ("speedup", _is_num, "number"),
     ("gamma_steps", _is_int, "integer"),
     ("rules_considered", _is_int, "integer"),
     ("rules_skipped", _is_int, "integer"),
     ("strata", _is_int, "integer"),
     ("pipeline_stages", _is_int, "integer"),
-    ("off_rules_considered", _is_int, "integer"),
+    ("naive_rules_considered", _is_int, "integer"),
+    ("considered_ratio", _is_num, "number"),
 ]
 
 
@@ -336,8 +334,9 @@ def check_bench_scheduler(errors, doc):
          '"park-bench-scheduler-v1"'),
         ("smoke", lambda v: isinstance(v, bool), "bool"),
         ("bit_identical", lambda v: v is True, "true"),
-        # kilorule delta_filtered@1 speedup gate: "skipped" only in smoke
-        # mode; a failed gate exits non-zero before writing any JSON.
+        # kilorule delta_filtered@1 gates (>= 3x over naive Γ, <= 1% of
+        # naive's rules considered): "skipped" only in smoke mode; a failed
+        # gate exits non-zero before writing any JSON.
         ("gate", lambda v: v in ("passed", "skipped"),
          '"passed" or "skipped"'),
         ("cases", lambda v: isinstance(v, list) and v, "non-empty array"),
